@@ -108,36 +108,41 @@ RandomResetStrategy::RandomResetStrategy(const WifiParams& params,
                                          double reset_probability,
                                          bool adaptive)
     : params_(params),
+      max_stage_(params_.num_backoff_stages()),
       reset_stage_(reset_stage),
       reset_probability_(reset_probability),
-      adaptive_(adaptive),
-      stage_(reset_stage) {
-  const int m = params_.num_backoff_stages();
-  if (reset_stage < 0 || reset_stage > m)
+      adaptive_(adaptive) {
+  if (reset_stage < 0 || reset_stage > max_stage_)
     throw std::invalid_argument("RandomResetStrategy: stage outside [0,m]");
   if (reset_probability < 0.0 || reset_probability > 1.0)
     throw std::invalid_argument("RandomResetStrategy: p0 outside [0,1]");
+  set_stage(reset_stage);
+}
+
+void RandomResetStrategy::set_stage(int stage) {
+  stage_ = stage;
+  attempt_p_ = 2.0 / params_.cw_at_stage(stage_);
 }
 
 bool RandomResetStrategy::decide_transmit(util::Rng& rng) {
   // Algorithm 2, node side line 3: transmit w.p. 2/CW in each idle slot.
-  return rng.bernoulli(2.0 / params_.cw_at_stage(stage_));
+  return rng.bernoulli(attempt_p_);
 }
 
 void RandomResetStrategy::on_success(util::Rng& rng) {
   // Algorithm 2, node side line 6: i <- j w.p. p0, else uniform {j+1..m}.
-  const int m = params_.num_backoff_stages();
+  const int m = max_stage_;
   if (reset_stage_ >= m || rng.bernoulli(reset_probability_)) {
-    stage_ = reset_stage_;
+    set_stage(reset_stage_);
   } else {
-    stage_ = reset_stage_ + 1 +
-             static_cast<int>(rng.uniform_int(
-                 static_cast<std::uint64_t>(m - reset_stage_)));
+    set_stage(reset_stage_ + 1 +
+              static_cast<int>(rng.uniform_int(
+                  static_cast<std::uint64_t>(m - reset_stage_))));
   }
 }
 
 void RandomResetStrategy::on_failure(util::Rng&) {
-  stage_ = std::min(stage_ + 1, params_.num_backoff_stages());
+  set_stage(std::min(stage_ + 1, max_stage_));
 }
 
 void RandomResetStrategy::apply_params(const phy::ControlParams& params,
@@ -146,13 +151,11 @@ void RandomResetStrategy::apply_params(const phy::ControlParams& params,
   if (adaptive_ && own_ack && params.has_random_reset) {
     reset_probability_ = params.reset_probability;
     reset_stage_ =
-        std::clamp(params.reset_stage, 0, params_.num_backoff_stages());
+        std::clamp(params.reset_stage, 0, max_stage_);
   }
 }
 
-double RandomResetStrategy::attempt_probability() const {
-  return 2.0 / params_.cw_at_stage(stage_);
-}
+double RandomResetStrategy::attempt_probability() const { return attempt_p_; }
 
 std::string RandomResetStrategy::name() const {
   return adaptive_ ? "TORA-CSMA" : "RandomReset";

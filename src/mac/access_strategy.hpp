@@ -151,11 +151,18 @@ class RandomResetStrategy final : public AccessStrategy {
   double reset_probability() const { return reset_probability_; }
 
  private:
+  /// The single write path for stage_: keeps attempt_p_ in step.
+  void set_stage(int stage);
+
   WifiParams params_;
+  int max_stage_;             // m (fixed by params_)
   int reset_stage_;           // j
   double reset_probability_;  // p0
   bool adaptive_;
   int stage_ = 0;  // i, current backoff stage
+  // 2/CW at stage_: decide_transmit's per-slot probability, cached because
+  // cw_at_stage() loops and the draw runs once per idle slot.
+  double attempt_p_ = 0.0;
 };
 
 /// Fixed contention window with per-slot attempt probability 2/(CW+1) — the

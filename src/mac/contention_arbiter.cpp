@@ -8,87 +8,167 @@
 
 namespace wlan::mac {
 
+namespace {
+
+/// The first live member (trace records name one node per cohort event).
+std::uint32_t first_member_id(const ArbiterCohort& cohort) {
+  for (const Station* s : cohort.members)
+    if (s != nullptr) return s->id();
+  return 0;
+}
+
+}  // namespace
+
 ContentionArbiter::ContentionArbiter(sim::Simulator& simulator,
                                      sim::Duration slot)
     : sim_(simulator), slot_(slot) {}
 
-void ContentionArbiter::enroll(Station& station, sim::Duration ifs) {
-  ++stats_.enrollments;
+template <class C>
+C& ContentionArbiter::acquire(std::vector<std::unique_ptr<C>>& active,
+                              std::vector<std::unique_ptr<C>>& pool) {
+  std::unique_ptr<C> cohort;
+  if (pool.empty()) {
+    cohort = std::make_unique<C>();
+  } else {
+    cohort = std::move(pool.back());
+    pool.pop_back();
+  }
+  cohort->members.clear();
+  cohort->live = 0;
+  cohort->pos = active.size();
+  C& ref = *cohort;
+  active.push_back(std::move(cohort));
+  return ref;
+}
+
+template <class C>
+void ContentionArbiter::release(std::vector<std::unique_ptr<C>>& active,
+                                std::vector<std::unique_ptr<C>>& pool,
+                                C* cohort) {
+  const std::size_t pos = cohort->pos;
+  assert(pos < active.size() && active[pos].get() == cohort);
+  pool.push_back(std::move(active[pos]));
+  if (pos + 1 != active.size()) {
+    active[pos] = std::move(active.back());
+    active[pos]->pos = pos;
+  }
+  active.pop_back();
+}
+
+void ContentionArbiter::add_member(ArbiterCohort& cohort, Station& station) {
+  assert(station.cohort_ == nullptr && "station already in a cohort");
+  station.cohort_ = &cohort;
+  station.cohort_slot_ = cohort.members.size();
+  cohort.members.push_back(&station);
+  ++cohort.live;
+}
+
+ContentionArbiter::WaitCohort& ContentionArbiter::join_wait(
+    std::vector<std::unique_ptr<WaitCohort>>& active,
+    ArbiterCohort::Phase phase, Station& station, sim::Time expires) {
   const sim::Time now = sim_.now();
-  // Same instant + same wait = same expiry and the same per-station event
-  // key; membership order is enrollment order, which is exactly the seq
-  // order the members' own DIFS events would have had.
-  for (auto& c : pending_) {
-    if (c->enrolled_at == now && c->ifs == ifs) {
-      c->members.push_back(&station);
-      WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kEnroll, station.id(),
-                     ifs.ns(), c->members.size());
-      return;
+  // Same instant + same expiry = the same per-station event key; join
+  // order is exactly the seq order the members' own timers would have had.
+  for (auto& c : active) {
+    if (c->joined_at == now && c->expires_at == expires) {
+      add_member(*c, station);
+      return *c;
     }
   }
-  std::unique_ptr<PendingCohort> cohort;
-  if (pending_pool_.empty()) {
-    cohort = std::make_unique<PendingCohort>();
-  } else {
-    cohort = std::move(pending_pool_.back());
-    pending_pool_.pop_back();
-  }
-  cohort->enrolled_at = now;
-  cohort->ifs = ifs;
-  cohort->members.clear();
-  cohort->members.push_back(&station);
-  PendingCohort* raw = cohort.get();
-  // A normal event of lookback `ifs`: bit-for-bit the key (and queue
-  // position) of the first member's own DIFS timer.
-  cohort->event = sim_.schedule_after(ifs, [this, raw] {
-    pending_expired(raw);
+  WaitCohort& cohort = acquire(active, wait_pool_);
+  cohort.phase = phase;
+  cohort.joined_at = now;
+  cohort.expires_at = expires;
+  add_member(cohort, station);
+  WaitCohort* raw = &cohort;
+  // A normal event scheduled now: bit-for-bit the key (and queue
+  // position) of the first member's own timer.
+  cohort.event = sim_.schedule_at(expires, [this, raw] {
+    if (raw->phase == ArbiterCohort::Phase::kNav) {
+      nav_expired(raw);
+    } else {
+      pending_expired(raw);
+    }
   });
-  pending_.push_back(std::move(cohort));
-  ++stats_.cohorts_formed;
-  WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kCohortFormed, station.id(),
-                 ifs.ns(), stats_.cohorts_formed);
+  return cohort;
+}
+
+void ContentionArbiter::park(Station& station, sim::Time until) {
+  ++stats_.nav_parks;
+  const WaitCohort& c =
+      join_wait(nav_, ArbiterCohort::Phase::kNav, station, until);
+  if (c.members.size() == 1) ++stats_.nav_cohorts;
+  WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kNavPark, station.id(),
+                 (until - sim_.now()).ns(), c.members.size());
+}
+
+void ContentionArbiter::enroll(Station& station, sim::Duration ifs) {
+  ++stats_.enrollments;
+  const WaitCohort& c = join_wait(pending_, ArbiterCohort::Phase::kIfs,
+                                  station, sim_.now() + ifs);
+  if (c.members.size() == 1) {
+    ++stats_.cohorts_formed;
+    WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kCohortFormed,
+                   station.id(), ifs.ns(), stats_.cohorts_formed);
+  } else {
+    WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kEnroll, station.id(),
+                   ifs.ns(), c.members.size());
+  }
 }
 
 void ContentionArbiter::withdraw(Station& station) {
-  ++stats_.withdrawals;
+  ArbiterCohort* c = station.cohort_;
+  assert(c != nullptr && "withdraw: station is not in any cohort");
+  assert(c->members[station.cohort_slot_] == &station);
+  c->members[station.cohort_slot_] = nullptr;  // tombstone
+  --c->live;
+  station.cohort_ = nullptr;
+  if (c->phase == ArbiterCohort::Phase::kNav) {
+    ++stats_.nav_withdrawals;
+  } else {
+    ++stats_.withdrawals;
+  }
+  if (c->phase == ArbiterCohort::Phase::kBackoff && station.batch_transmit_)
+    --static_cast<BackoffCohort*>(c)->committers;
   WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kWithdraw, station.id(),
-                 stats_.withdrawals, 0);
-  for (auto& c : pending_) {
-    auto it = std::find(c->members.begin(), c->members.end(), &station);
-    if (it == c->members.end()) continue;
-    c->members.erase(it);  // order-preserving
-    if (c->members.empty()) {
-      sim_.cancel(c->event);
-      release_pending(c.get());
-    }
-    return;
+                 c->live, static_cast<std::uint64_t>(c->phase));
+  // Survivors stay on the armed event: a wait's expiry is theirs too, and
+  // a backoff row whose transmitters all left just continues the rows.
+  if (c->live != 0) return;
+  sim_.cancel(c->event);
+  switch (c->phase) {
+    case ArbiterCohort::Phase::kNav:
+      release(nav_, wait_pool_, static_cast<WaitCohort*>(c));
+      break;
+    case ArbiterCohort::Phase::kIfs:
+      release(pending_, wait_pool_, static_cast<WaitCohort*>(c));
+      break;
+    case ArbiterCohort::Phase::kBackoff:
+      release(backoff_, backoff_pool_, static_cast<BackoffCohort*>(c));
+      break;
   }
-  for (auto& c : backoff_) {
-    auto it = std::find(c->members.begin(), c->members.end(), &station);
-    if (it == c->members.end()) continue;
-    c->members.erase(it);
-    if (c->members.empty()) {
-      sim_.cancel(c->event);
-      release_backoff(c.get());
-      return;
-    }
-    // Eager re-arm: the minimum can only have moved later. Cancelling and
-    // re-scheduling with the SAME anchored key lands the event in the
-    // same same-instant position the per-station survivors' events hold,
-    // so laziness would buy nothing but a stale-event fire.
-    if (min_boundary(*c) != c->due) {
-      sim_.cancel(c->event);
-      arm(*c);
-    }
-    return;
-  }
-  assert(false && "withdraw: station is not enrolled in any cohort");
 }
 
-void ContentionArbiter::pending_expired(PendingCohort* cohort) {
+void ContentionArbiter::nav_expired(WaitCohort* cohort) {
+  assert(cohort->live != 0);
+  stats_.nav_expiries += cohort->live;
+  WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kNavExpire,
+                 first_member_id(*cohort), cohort->live, stats_.nav_expiries);
+  // Park order == the seq order of the per-station NAV events this one
+  // event stands in for. A member's resume only re-checks the medium and
+  // enrolls (no transmission starts), so no member leaves mid-loop.
+  for (Station* s : cohort->members) {
+    if (s == nullptr) continue;
+    s->cohort_ = nullptr;
+    s->nav_expired();
+  }
+  release(nav_, wait_pool_, cohort);
+}
+
+void ContentionArbiter::pending_expired(WaitCohort* cohort) {
   const sim::Time now = sim_.now();
-  assert(now == cohort->enrolled_at + cohort->ifs);
-  assert(!cohort->members.empty());
+  assert(now == cohort->expires_at);
+  assert(cohort->live != 0);
 
   // Two waits can end at the same instant only via distinct busy-period
   // ends (e.g. an earlier EIFS cohort and a later DIFS cohort). The
@@ -97,95 +177,130 @@ void ContentionArbiter::pending_expired(PendingCohort* cohort) {
   // entered at this instant instead of anchoring their own.
   BackoffCohort* target = nullptr;
   for (auto& b : backoff_) {
-    if (b->entry == now) {
+    if (b->entry == now && b->origin == now) {
       target = b.get();
       break;
     }
   }
   const bool merged = target != nullptr;
   if (!merged) {
-    std::unique_ptr<BackoffCohort> fresh;
-    if (backoff_pool_.empty()) {
-      fresh = std::make_unique<BackoffCohort>();
-    } else {
-      fresh = std::move(backoff_pool_.back());
-      backoff_pool_.pop_back();
-    }
-    fresh->entry = now;
-    fresh->anchor_seq = 0;
-    fresh->id = ++next_backoff_id_;
-    fresh->members.clear();
-    target = fresh.get();
-    backoff_.push_back(std::move(fresh));
+    BackoffCohort& fresh = acquire(backoff_, backoff_pool_);
+    fresh.phase = ArbiterCohort::Phase::kBackoff;
+    fresh.entry = now;
+    fresh.anchor_seq = 0;
+    fresh.origin = now;
+    fresh.rows = 0;
+    fresh.limit = Station::kMinBatchSlots;
+    fresh.committers = 0;
+    fresh.id = ++next_backoff_id_;
+    target = &fresh;
   } else {
     ++stats_.entry_merges;
     WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kCohortMerge,
-                   cohort->members.front()->id(), cohort->ifs.ns(),
-                   target->members.size());
+                   first_member_id(*cohort),
+                   (cohort->expires_at - cohort->joined_at).ns(),
+                   target->live);
+    // The earlier cohort's rows stopped at ITS first transmitter; redraw
+    // them for the merged membership (rare: a coincidence of two waits).
+    for (Station* s : target->members)
+      if (s != nullptr) s->cohort_discard_batch();
+    target->rows = 0;
+    target->committers = 0;
   }
 
-  // Enter every member in enrollment order: each pre-draws its batch from
-  // its own RNG/strategy — the identical draws, in an order that cannot
-  // matter (stations share no decision state).
+  // Enter every member in enrollment order; the rows below draw from each
+  // member's own RNG/strategy — the identical draws, in an order that
+  // cannot matter (stations share no decision state).
   for (Station* s : cohort->members) {
+    if (s == nullptr) continue;
+    s->cohort_ = nullptr;
     s->cohort_id_ = target->id;
     s->cohort_enter_backoff();
-    target->members.push_back(s);
+    add_member(*target, *s);
   }
-  release_pending(cohort);
+  release(pending_, wait_pool_, cohort);
 
-  if (!merged) {
-    arm(*target);
-  } else if (min_boundary(*target) != target->due) {
-    sim_.cancel(target->event);
-    arm(*target);
+  draw_rows(*target);
+  if (merged) sim_.cancel(target->event);
+  arm(*target);
+}
+
+void ContentionArbiter::draw_rows(BackoffCohort& cohort) {
+  assert(cohort.committers == 0);
+  while (cohort.rows < cohort.limit) {
+    ++cohort.rows;
+    for (Station* s : cohort.members)
+      if (s != nullptr && s->cohort_draw()) ++cohort.committers;
+    if (cohort.committers != 0) break;
   }
 }
 
-void ContentionArbiter::decision_due(BackoffCohort* cohort) {
-  ++stats_.decisions_fired;
-  const sim::Time now = sim_.now();
-  assert(now == cohort->due);
-  WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kCohortDecision,
-                 cohort->members.front()->id(), cohort->members.size(),
-                 stats_.decisions_fired);
-
-  // Members in enrollment order == the seq order of the per-station
-  // decision events this one event stands in for. Due members commit
-  // (leaving the cohort; the radio start is deferred through a zero-delay
-  // event, so no commit is visible to a later member here) or continue
-  // with a doubled re-drawn batch.
-  scratch_.clear();
-  bool any_due = false;
-  for (Station* s : cohort->members) {
-    if (s->cohort_boundary() == now) {
-      any_due = true;
-      if (!s->cohort_decision()) scratch_.push_back(s);
-    } else {
-      scratch_.push_back(s);
+void ContentionArbiter::row_due(BackoffCohort* cohort) {
+  if (cohort->rows == 0) {
+    // Lazy next-row event: the boundary arrived with no busy edge, so the
+    // survivors start drawing here (row 1 is this very boundary).
+    draw_rows(*cohort);
+    if (cohort->rows > 1) {
+      arm(*cohort);
+      return;
     }
   }
-  assert(any_due && "cohort event fired with no member due");
-  (void)any_due;
-  cohort->members.swap(scratch_);
-  if (cohort->members.empty()) {
-    release_backoff(cohort);
+  decide(cohort);
+}
+
+void ContentionArbiter::decide(BackoffCohort* cohort) {
+  ++stats_.decisions_fired;
+  const sim::Time now = sim_.now();
+  assert(now == cohort->origin + slot_ * std::max(cohort->rows, 1));
+  WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kCohortDecision,
+                 first_member_id(*cohort), cohort->live, cohort->rows);
+
+  // Members in join order == the seq order of the per-station decision
+  // events this one event stands in for. Transmitters commit and leave
+  // (the radio start is deferred through a zero-delay event, so no commit
+  // is visible to a later member here); the rest start a new batch at
+  // this boundary.
+  const bool committed = cohort->committers != 0;
+  const bool capped = cohort->rows == cohort->limit;
+  // Survivors are compacted in place (dropping tombstones, keeping order).
+  std::vector<Station*>& members = cohort->members;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    Station* s = members[i];
+    if (s == nullptr) continue;
+    if (s->cohort_decision()) {
+      s->cohort_ = nullptr;
+      continue;
+    }
+    s->cohort_slot_ = kept;
+    members[kept++] = s;
+  }
+  members.resize(kept);
+  cohort->live = kept;
+  cohort->committers = 0;
+  if (kept == 0) {
+    release(backoff_, backoff_pool_, cohort);
     return;
   }
+  cohort->origin = now;
+  cohort->rows = 0;
+  if (committed) {
+    // The survivors have drawn exactly the elapsed slots. The committed
+    // frame interrupts every survivor that senses it at this very instant,
+    // so draw nothing ahead: arm the next row lazily.
+    arm(*cohort);
+    return;
+  }
+  // No transmitter (cap reached, or every transmitter withdrew): keep
+  // drawing ahead, doubling the cap after an uninterrupted full batch.
+  if (capped)
+    cohort->limit = std::min(cohort->limit * 2, Station::kMaxBatchSlots);
+  draw_rows(*cohort);
   arm(*cohort);
 }
 
-sim::Time ContentionArbiter::min_boundary(const BackoffCohort& cohort) const {
-  assert(!cohort.members.empty());
-  sim::Time m = cohort.members.front()->cohort_boundary();
-  for (std::size_t i = 1; i < cohort.members.size(); ++i)
-    m = std::min(m, cohort.members[i]->cohort_boundary());
-  return m;
-}
-
 void ContentionArbiter::arm(BackoffCohort& cohort) {
-  const sim::Time due = min_boundary(cohort);
-  cohort.due = due;
+  const sim::Time due = cohort.origin + slot_ * std::max(cohort.rows, 1);
   // Entry-lookback saturation guard, mirroring Station::begin_backoff:
   // past ~4.29 s of continuous backoff the order key could no longer
   // express the entry recency, so re-anchor to now. Deterministic, and
@@ -200,32 +315,8 @@ void ContentionArbiter::arm(BackoffCohort& cohort) {
   BackoffCohort* raw = &cohort;
   cohort.event = sim_.schedule_anchored(
       due, slot_, cohort.entry, cohort.anchor_seq,
-      [this, raw] { decision_due(raw); });
+      [this, raw] { row_due(raw); });
   if (cohort.anchor_seq == 0) cohort.anchor_seq = cohort.event.sequence();
-}
-
-void ContentionArbiter::release_pending(PendingCohort* cohort) {
-  for (auto& c : pending_) {
-    if (c.get() == cohort) {
-      pending_pool_.push_back(std::move(c));
-      c = std::move(pending_.back());
-      pending_.pop_back();
-      return;
-    }
-  }
-  assert(false && "release of an unknown pending cohort");
-}
-
-void ContentionArbiter::release_backoff(BackoffCohort* cohort) {
-  for (auto& c : backoff_) {
-    if (c.get() == cohort) {
-      backoff_pool_.push_back(std::move(c));
-      c = std::move(backoff_.back());
-      backoff_.pop_back();
-      return;
-    }
-  }
-  assert(false && "release of an unknown backoff cohort");
 }
 
 }  // namespace wlan::mac

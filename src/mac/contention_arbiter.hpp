@@ -1,52 +1,82 @@
 // Cohort-level contention arbiter: one timer event per cohort of stations
-// that enter the same inter-frame wait at the same instant, instead of one
-// per station.
+// that enter the same idle wait at the same instant, instead of one per
+// station.
 //
-// Motivation. When the medium goes idle after a busy period, every station
-// that was waiting re-enters contention AT THE SAME INSTANT: in a connected
-// network of N stations each transmission end spawns N DIFS events, then N
-// batched decision events (PR 4 already collapsed the per-slot chains).
-// Those 2N events carry no independent information — all N stations share
-// the IFS expiry instant and slot grid; only each member's pre-drawn batch
-// differs. The arbiter groups them:
+// Motivation. Every channel edge moves ALL waiting stations at once: in a
+// connected network of N stations each data frame's end parks N-1
+// bystanders on the same NAV (SIFS + ACK), the ACK's end re-enters N
+// stations into the same DIFS, and the DIFS expiry starts N backoffs on
+// the same slot grid. Per-station timers carry no independent information
+// — only each member's own slot draws differ. The arbiter owns a
+// station's whole idle wait, in three phases:
 //
-//   * enroll(station, ifs) replaces the station's own DIFS/EIFS timer. The
-//     first enrollment at a given (instant, ifs) creates a *pending
-//     cohort* and schedules ONE event at instant + ifs with exactly the
-//     key the first member's own timer would have had (a normal event of
-//     lookback ifs); later same-keyed enrollments just append.
-//   * When the pending event fires, every member enters backoff and
-//     pre-draws its batched slot decisions (the station's PR-4 machinery,
-//     per-member RNG/strategy — values identical to the per-station path).
-//     The cohort then owns ONE anchored decision event at the MINIMUM of
-//     its members' batch boundaries, anchored to the cohort entry exactly
-//     as each member's own decision event would have been.
-//   * On fire, members whose boundary is due commit (transmit) or continue
-//     (re-draw a doubled batch) in enrollment order, and the cohort
-//     re-arms at the new minimum. On a busy interruption each sensing
-//     member rolls its batch back draw-for-draw (again the PR-4 rewind)
-//     and withdraws; the cohort re-arms eagerly, so its event is always at
-//     the true minimum boundary.
+//   NAV phase      park(station, until) replaces the station's NAV-expiry
+//                  timer. Stations parking at the same instant with the
+//                  same NAV end form one *NAV cohort* with ONE normal
+//                  event carrying the first member's exact key; on fire,
+//                  members resume (re-check the medium, then enroll) in
+//                  park order.
+//   IFS phase      enroll(station, ifs) replaces the DIFS/EIFS timer: same
+//                  instant + same wait = one *pending cohort*, one event,
+//                  first member's key.
+//   backoff phase  when a pending cohort expires its members enter one
+//                  *backoff cohort* sharing the entry instant, i.e. one
+//                  slot grid. The cohort draws ROWS on demand: row r is
+//                  one slot decision per member (each from its own
+//                  RNG/strategy — the values the per-station path draws),
+//                  drawn until some member transmits or the 8 -> 64 row
+//                  cap is reached. ONE anchored decision event sits at
+//                  that row, anchored to the cohort entry exactly as each
+//                  member's own decision event would have been. On fire,
+//                  transmitters commit in join order; survivors have then
+//                  drawn exactly the elapsed slots, so they draw nothing
+//                  ahead: a lazy next-row event (same anchor) draws from
+//                  the next boundary only if no busy edge intervenes. The
+//                  common interruption — the committed frame itself —
+//                  therefore finds "elapsed slots == drawn slots" and
+//                  needs no RNG/strategy rewind. (A row that ends on the
+//                  cap, or whose transmitters were all withdrawn, draws
+//                  ahead immediately, as the per-station batch does.)
+//
+// Every phase keeps members in a join-ordered vector with tombstones and
+// each station holds its slot index, so withdraw() — a busy edge,
+// deactivation — is O(1): no search, no minimum recompute (all backoff
+// members share the armed row). The cohort event is cancelled only when
+// its last member leaves; the survivors of a partial withdrawal stay on
+// the armed event, which simply finds no transmitter if all committers
+// left, and continues the rows.
 //
 // Why results stay byte-identical (the contract CI enforces with cohort
-// vs legacy `cmp` gates and the randomized differential tests):
+// vs per-station `cmp` gates and the randomized differential tests):
 //
 //   * Seq elimination is invisible: removing schedule() calls shifts later
 //     events' sequence numbers but never their relative order, and every
 //     tie-break in sim::EventQueue is relative.
 //   * The per-station events a cohort replaces form a contiguous same-key
-//     block in the queue's same-instant ordering: members' DIFS events
-//     share (fire time, lookback = ifs) and tie by seq = enrollment
+//     block in the queue's same-instant ordering: members' NAV (or DIFS)
+//     events share (fire time, lookback) and tie by seq = park (enrollment)
 //     order; members' decision events share (fire time, lookback = slot,
 //     entry lookback) — the same backoff-entry instant — and tie by their
-//     entry seqs, again enrollment order. The single cohort event carries
-//     the first member's key, and firing the members in enrollment order
-//     inside it reproduces the block.
+//     entry seqs, again join order. The single cohort event carries the
+//     first member's key, and firing the members in join order inside it
+//     reproduces the block.
+//   * Draw timing is unobservable: the per-station path pre-draws a batch
+//     at its own boundaries, the cohort draws rows at its own; each
+//     station consumes its RNG/strategy in the same order either way, and
+//     no other callback touches that state while the channel stays idle.
+//     A station interrupted mid-batch rewinds and replays exactly the
+//     boundaries the per-slot scheme would have drawn (Station::
+//     rollback_backoff), whatever was drawn ahead; the lazy next-row
+//     event fires at the boundary key a per-station decision event would
+//     hold, so it draws a row before any slot-committed start at that
+//     instant and after any earlier-scheduled (ACK/CTS/beacon) start —
+//     exactly the rollback's "does the boundary draw count" rule.
 //   * Two waits ending at the same instant (a DIFS cohort catching up with
 //     an earlier EIFS cohort, possible only through distinct busy-period
 //     ends) would interleave per-station by entry seq, which is exactly
 //     pending-event fire order — so cohorts reaching backoff at the same
-//     instant MERGE, appending members in that fire order.
+//     instant MERGE, appending members in that fire order (the earlier
+//     cohort's first-row draws are rewound and the rows redrawn for all).
 //   * All same-instant decision processing happens before any resulting
 //     transmission starts (commit defers the radio through a zero-delay
 //     event, and decision events out-rank radio events at the same
@@ -55,9 +85,9 @@
 //
 // The only same-instant orderings the cohort path compresses are against
 // *equal-keyed* third-party events interleaving a member block mid-way
-// (e.g. a NAV expiry scheduled between two enrollments and landing on the
-// cohort's expiry instant with lookback exactly equal to the ifs). Such an
-// event's processing commutes with a member's backoff entry — the two
+// (e.g. a timer scheduled between two parks and landing on the cohort's
+// expiry instant with exactly the same lookback). Such an event's
+// processing commutes with a member's resume or backoff entry — the two
 // touch disjoint per-station state and the seqs they consume are never
 // compared against each other — so the compressed order is
 // observationally identical; the differential tests exist to keep that
@@ -80,6 +110,19 @@ namespace wlan::mac {
 
 class Station;
 
+/// Membership bookkeeping shared by the arbiter's three cohort kinds. A
+/// station belongs to at most one cohort at a time and holds a pointer to
+/// it plus its slot in `members` (Station::cohort_, cohort_slot_), which
+/// is what makes ContentionArbiter::withdraw O(1).
+struct ArbiterCohort {
+  enum class Phase : std::uint8_t { kNav, kIfs, kBackoff };
+  Phase phase = Phase::kNav;
+  std::vector<Station*> members;  // join order; nullptr = withdrawn
+  std::size_t live = 0;           // non-null members
+  std::size_t pos = 0;            // index in the arbiter's active list
+  sim::EventId event;
+};
+
 class ContentionArbiter {
  public:
   /// `slot` is the (network-wide) idle slot duration — the schedule
@@ -89,70 +132,99 @@ class ContentionArbiter {
   ContentionArbiter(const ContentionArbiter&) = delete;
   ContentionArbiter& operator=(const ContentionArbiter&) = delete;
 
+  /// Takes over the station's NAV-expiry timer: the station (idle medium,
+  /// kIdleWait on its NAV) joins the cohort keyed (now, until), creating
+  /// it — and its single expiry event — on first membership.
+  void park(Station& station, sim::Time until);
+
   /// Takes over the station's DIFS/EIFS timer: the station (currently in
   /// its DifsWait state) joins the cohort keyed (now, ifs), creating it —
   /// and its single expiry event — on first membership.
   void enroll(Station& station, sim::Duration ifs);
 
-  /// Removes the station from whichever cohort holds it (busy
-  /// interruption or deactivation; the station has already rewound its
-  /// batch draws when leaving backoff). Re-arms or retires the cohort's
-  /// event eagerly so it always sits at the surviving minimum.
+  /// Removes the station from the cohort holding it (busy edge or
+  /// deactivation; a backoff member has already rewound its draws). O(1):
+  /// the slot becomes a tombstone, and the cohort's event is cancelled
+  /// only when its last member leaves.
   void withdraw(Station& station);
 
   /// Lifetime counters for tests and benchmarks.
   struct Stats {
     std::uint64_t enrollments = 0;      // enroll() calls
-    std::uint64_t cohorts_formed = 0;   // pending cohorts created
+    std::uint64_t cohorts_formed = 0;   // pending (IFS) cohorts created
     std::uint64_t entry_merges = 0;     // cohorts merged at a shared entry
-    std::uint64_t decisions_fired = 0;  // cohort decision events fired
-    std::uint64_t withdrawals = 0;      // withdraw() calls
+    std::uint64_t decisions_fired = 0;  // cohort decision rows processed
+    std::uint64_t withdrawals = 0;      // IFS/backoff withdraw() calls
+    std::uint64_t nav_parks = 0;        // park() calls
+    std::uint64_t nav_cohorts = 0;      // NAV cohorts created
+    std::uint64_t nav_expiries = 0;     // members resumed by a NAV expiry
+    std::uint64_t nav_withdrawals = 0;  // NAV withdraw() calls
+    // Stations parked right now: nav_parks - nav_expiries -
+    // nav_withdrawals.
   };
   const Stats& stats() const { return stats_; }
 
  private:
-  /// DIFS/EIFS phase: members share the enrollment instant and wait, and
-  /// therefore the expiry instant. One normal event, first member's key.
-  struct PendingCohort {
-    sim::Time enrolled_at;
-    sim::Duration ifs;
-    std::vector<Station*> members;  // enrollment order
-    sim::EventId event;
+  /// NAV and IFS phases: members share the join instant and the expiry
+  /// instant. One normal event, first member's key.
+  struct WaitCohort : ArbiterCohort {
+    sim::Time joined_at;
+    sim::Time expires_at;
   };
 
-  /// Backoff phase: members share the entry instant (= slot grid anchor).
-  /// One anchored decision event at the member-minimum batch boundary.
-  struct BackoffCohort {
+  /// Backoff phase: members share the entry instant (= slot grid anchor)
+  /// and the current batch's rows: every live member has drawn exactly
+  /// `rows` decisions since `origin`. The event is armed at row
+  /// max(rows, 1) — row 0 means "lazy": nothing drawn yet.
+  struct BackoffCohort : ArbiterCohort {
     sim::Time entry;           // anchor instant of every member's grid
     std::uint64_t anchor_seq;  // anchored order_seq (first schedule's seq)
-    sim::Time due;             // currently scheduled minimum boundary
+    sim::Time origin;          // the current batch's row-0 boundary
+    int rows = 0;              // rows drawn in the current batch
+    int limit = 0;             // draw-ahead cap for this batch (8 -> 64)
+    std::size_t committers = 0;  // live members transmitting at `rows`
     std::uint64_t id = 0;      // process-unique label (flight recorder)
-    std::vector<Station*> members;  // enrollment order
-    sim::EventId event;
   };
 
-  void pending_expired(PendingCohort* cohort);
-  void decision_due(BackoffCohort* cohort);
-  /// Schedules the cohort's decision event at its minimum boundary
-  /// (cancelling a still-pending one), re-anchoring first if the entry
-  /// lookback would saturate the order key (> ~4.29 s of continuous
-  /// backoff — unreachable under every existing scheme, mirroring
-  /// Station::begin_backoff's own guard).
+  /// Joins `station` to the NAV or IFS cohort keyed (now, expires),
+  /// forming it (one event at `expires`) on first membership.
+  WaitCohort& join_wait(std::vector<std::unique_ptr<WaitCohort>>& active,
+                        ArbiterCohort::Phase phase, Station& station,
+                        sim::Time expires);
+  void nav_expired(WaitCohort* cohort);
+  void pending_expired(WaitCohort* cohort);
+  /// The armed row's event: draws the rows of a lazy cohort first, then
+  /// processes the row if it is due now (else re-arms at the drawn row).
+  void row_due(BackoffCohort* cohort);
+  /// Commits the due row's transmitters in join order, then continues the
+  /// survivors: lazily after a commit row, drawing ahead otherwise.
+  void decide(BackoffCohort* cohort);
+  /// Draws rows until a member transmits or the batch cap is reached.
+  void draw_rows(BackoffCohort& cohort);
+  /// Schedules the cohort's event at row max(rows, 1), re-anchoring first
+  /// if the entry lookback would saturate the order key (> ~4.29 s of
+  /// continuous backoff — unreachable under every existing scheme,
+  /// mirroring Station::begin_backoff's own guard).
   void arm(BackoffCohort& cohort);
-  sim::Time min_boundary(const BackoffCohort& cohort) const;
 
-  void release_pending(PendingCohort* cohort);
-  void release_backoff(BackoffCohort* cohort);
+  static void add_member(ArbiterCohort& cohort, Station& station);
+
+  template <class C>
+  static C& acquire(std::vector<std::unique_ptr<C>>& active,
+                    std::vector<std::unique_ptr<C>>& pool);
+  template <class C>
+  static void release(std::vector<std::unique_ptr<C>>& active,
+                      std::vector<std::unique_ptr<C>>& pool, C* cohort);
 
   sim::Simulator& sim_;
   sim::Duration slot_;
-  std::vector<std::unique_ptr<PendingCohort>> pending_;
+  std::vector<std::unique_ptr<WaitCohort>> nav_;
+  std::vector<std::unique_ptr<WaitCohort>> pending_;
   std::vector<std::unique_ptr<BackoffCohort>> backoff_;
   // Retired cohorts parked for reuse: steady-state contention allocates
   // nothing once the member vectors have grown to the network size.
-  std::vector<std::unique_ptr<PendingCohort>> pending_pool_;
+  std::vector<std::unique_ptr<WaitCohort>> wait_pool_;
   std::vector<std::unique_ptr<BackoffCohort>> backoff_pool_;
-  std::vector<Station*> scratch_;  // decision_due survivor rebuild
   std::uint64_t next_backoff_id_ = 0;  // BackoffCohort::id source
   Stats stats_;
 };

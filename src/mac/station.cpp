@@ -115,9 +115,7 @@ void Station::set_active(bool active) {
       // never happened in the per-slot scheme.
       if (state_ == State::kBackoff && batching_enabled())
         rollback_backoff(false);
-      if (arbiter_ != nullptr &&
-          (state_ == State::kDifsWait || state_ == State::kBackoff))
-        arbiter_->withdraw(*this);
+      if (cohort_ != nullptr) arbiter_->withdraw(*this);
       sim_.cancel(difs_event_);
       sim_.cancel(slot_event_);
       sim_.cancel(nav_event_);
@@ -143,13 +141,21 @@ void Station::resume_contention() {
   if (now < nav_until_) {
     // Virtual carrier sense: sleep until the NAV expires, then re-check.
     set_state(State::kIdleWait);
+    if (arbiter_ != nullptr) {
+      // Cohort path: one expiry event per cohort of stations parking on
+      // the same NAV end at this instant.
+      arbiter_->park(*this, nav_until_);
+      return;
+    }
     sim_.cancel(nav_event_);
-    nav_event_ = sim_.schedule_at(nav_until_, [this] {
-      if (state_ == State::kIdleWait) resume_contention();
-    });
+    nav_event_ = sim_.schedule_at(nav_until_, [this] { nav_expired(); });
     return;
   }
   begin_ifs_wait(now);
+}
+
+void Station::nav_expired() {
+  if (state_ == State::kIdleWait) resume_contention();
 }
 
 void Station::begin_ifs_wait(sim::Time) {
@@ -197,7 +203,8 @@ void Station::draw_batch() {
   // is exactly the per-slot scheme's (one decide_transmit per boundary, no
   // other strategy/RNG use can intervene while the channel is idle), so
   // simulation results are bit-identical; rollback_backoff() undoes the
-  // draws a busy interruption proves premature.
+  // draws a busy interruption proves premature. (The cohort path draws
+  // the same values one row at a time through cohort_draw().)
   backoff_origin_ = sim_.now();
   backoff_rng_ = rng_;
   strategy_->checkpoint_decision_state();
@@ -244,12 +251,33 @@ void Station::cohort_enter_backoff() {
   assert(arbiter_ != nullptr);
   assert(state_ == State::kDifsWait);
   set_state(State::kBackoff);
-  batch_limit_ = kMinBatchSlots;
-  draw_batch();
+  backoff_origin_ = sim_.now();
+  batch_planned_ = 0;
+  batch_transmit_ = false;
 }
 
-sim::Time Station::cohort_boundary() const {
-  return backoff_origin_ + params_.slot * batch_planned_;
+bool Station::cohort_draw() {
+  // The first draw of a batch checkpoints: a batch nothing was drawn for
+  // (a lazy row) never needs a rewind, so it never pays for one.
+  if (batch_planned_ == 0) {
+    backoff_rng_ = rng_;
+    strategy_->checkpoint_decision_state();
+  }
+  ++batch_planned_;
+  ++audit_drawn_;
+  batch_transmit_ = strategy_->decide_transmit(rng_);
+  return batch_transmit_;
+}
+
+void Station::cohort_discard_batch() {
+  assert(backoff_origin_ == sim_.now());
+  if (batch_planned_ != 0) {
+    audit_rewound_ += static_cast<std::uint64_t>(batch_planned_);
+    rng_ = backoff_rng_;
+    strategy_->restore_decision_state();
+  }
+  batch_planned_ = 0;
+  batch_transmit_ = false;
 }
 
 bool Station::cohort_decision() {
@@ -259,12 +287,10 @@ bool Station::cohort_decision() {
     commit_transmission();
     return true;
   }
-  // Capped batch: this boundary is the next batch's origin (its draw is
-  // already consumed, matching per-slot history), with a doubled limit —
-  // identical to begin_backoff(/*fresh=*/false) minus the event, which
-  // the cohort owns.
-  batch_limit_ = std::min(batch_limit_ * 2, kMaxBatchSlots);
-  draw_batch();
+  // This boundary is the next batch's origin (its draw is already
+  // consumed, matching per-slot history); the cohort draws its rows.
+  backoff_origin_ = sim_.now();
+  batch_planned_ = 0;
   return false;
 }
 
@@ -293,8 +319,11 @@ void Station::rollback_backoff(bool boundary_draw_counts) {
   const std::int64_t slot_ns = params_.slot.ns();
   std::int64_t replay = elapsed / slot_ns;
   if (replay > 0 && elapsed % slot_ns == 0 && !boundary_draw_counts) --replay;
-  assert(replay < batch_planned_);
+  assert(replay <= batch_planned_);
   audit_consumed_ += static_cast<std::uint64_t>(replay);
+  // Nothing drawn ahead (the cohort path's lazy rows): the RNG and
+  // strategy already stand exactly at the interruption.
+  if (replay == batch_planned_) return;
   audit_rewound_ += static_cast<std::uint64_t>(batch_planned_ - replay);
   rng_ = backoff_rng_;
   strategy_->restore_decision_state();
@@ -407,7 +436,12 @@ void Station::on_channel_busy(sim::Time now) {
       set_state(State::kIdleWait);
       break;
     case State::kIdleWait:
-      sim_.cancel(nav_event_);  // re-established at the next idle
+      // Re-established at the next idle.
+      if (cohort_ != nullptr) {
+        arbiter_->withdraw(*this);  // parked on a NAV cohort
+      } else {
+        sim_.cancel(nav_event_);
+      }
       break;
     case State::kInactive:
     case State::kNoData:

@@ -28,6 +28,15 @@
 // the draws the per-slot scheme would have consumed — behaviour and every
 // figure CSV stay byte-identical while idle backoff runs cost O(1) events.
 //
+// With a mac::ContentionArbiter attached (the default) the station hands
+// its whole idle wait — NAV expiry, DIFS/EIFS, backoff events — to
+// same-instant cohorts and draws on demand: the arbiter asks for one row
+// (one decision) at a time via cohort_draw(), stops at the cohort's first
+// transmitter, and after a commit row draws nothing until the next
+// boundary actually arrives. The batch fields below then describe the
+// rows drawn since the last boundary; rollback_backoff() is shared, and
+// finds nothing to rewind when elapsed slots == drawn slots.
+//
 // Traffic gating: with a traffic::TrafficSource attached the station only
 // contends while the source's queue holds a packet; it parks in kNoData
 // otherwise and the source wakes it on the empty -> non-empty transition.
@@ -43,6 +52,7 @@
 // where CCA cannot see a transmission that starts in the same slot.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -62,6 +72,7 @@ class TrafficSource;
 namespace wlan::mac {
 
 class ContentionArbiter;
+struct ArbiterCohort;
 
 class Station final : public phy::MediumClient {
  public:
@@ -177,23 +188,29 @@ class Station final : public phy::MediumClient {
   void set_state(State next);
 
   void resume_contention();
+  /// NAV-expiry timer body: re-check the channel if still waiting on it.
+  void nav_expired();
   void begin_ifs_wait(sim::Time now);
   /// Starts a decision batch. `fresh` is true on backoff entry (from the
   /// DIFS/EIFS expiry) and false when a capped batch continues — the
   /// continuation keeps the entry's ordering anchor.
   void begin_backoff(bool fresh);
   void decision_boundary();
-  /// Pre-draws one decision batch from the current instant: the shared
-  /// core of begin_backoff (per-station path) and the cohort hooks below.
+  /// Pre-draws one decision batch from the current instant (per-station
+  /// path; begin_backoff's core).
   void draw_batch();
   // Cohort-arbiter hooks (cohort path only; the arbiter owns the timer
-  // events, the station keeps every draw and all rollback machinery).
-  /// DIFS/EIFS expired: enter backoff and pre-draw the first batch.
+  // events and decides how many rows to draw, the station keeps every
+  // draw and all rollback machinery).
+  /// DIFS/EIFS expired: enter backoff with an empty batch at this instant.
   void cohort_enter_backoff();
-  /// This station's next pre-drawn batch boundary.
-  sim::Time cohort_boundary() const;
-  /// The boundary is due: commit (returns true; the station leaves the
-  /// cohort) or continue with a doubled re-drawn batch (returns false).
+  /// Draws the next row's decision of the current batch (checkpointing
+  /// on the batch's first draw); true = transmit at that row.
+  bool cohort_draw();
+  /// Rewinds every draw of a batch begun at this instant (entry merge).
+  void cohort_discard_batch();
+  /// The batch's last row is due: commit (returns true; the station
+  /// leaves the cohort) or start an empty batch here (returns false).
   bool cohort_decision();
   void rollback_backoff(bool boundary_draw_counts);
   // Legacy per-slot path (WLAN_BATCH_SLOTS=0).
@@ -254,6 +271,10 @@ class Station final : public phy::MediumClient {
   /// Label of the arbiter cohort this station last entered backoff under
   /// (0: per-station path). Written by ContentionArbiter (friend).
   std::uint64_t cohort_id_ = 0;
+  /// The arbiter cohort (NAV, IFS or backoff phase) holding this station
+  /// and its slot there, or nullptr; owned by ContentionArbiter (friend).
+  ArbiterCohort* cohort_ = nullptr;
+  std::size_t cohort_slot_ = 0;
   stats::IdleSlotMeter idle_meter_;
 };
 

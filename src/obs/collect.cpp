@@ -39,6 +39,10 @@ MetricsRegistry collect_metrics(mac::Network& net) {
     reg.set_count("mac.cohort.entry_merges", as.entry_merges);
     reg.set_count("mac.cohort.decisions_fired", as.decisions_fired);
     reg.set_count("mac.cohort.withdrawals", as.withdrawals);
+    reg.set_count("mac.cohort.nav_parks", as.nav_parks);
+    reg.set_count("mac.cohort.nav_cohorts", as.nav_cohorts);
+    reg.set_count("mac.cohort.nav_expiries", as.nav_expiries);
+    reg.set_count("mac.cohort.nav_withdrawals", as.nav_withdrawals);
   }
 
   if (net.traffic_enabled()) {

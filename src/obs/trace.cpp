@@ -41,6 +41,8 @@ const char* kEventNames[ev::kNumEvents] = {
     "withdraw",       // kWithdraw
     "arrival",        // kArrival
     "drop",           // kDrop
+    "nav_park",       // kNavPark
+    "nav_expire",     // kNavExpire
 };
 
 bool truthy(const std::string& v) {

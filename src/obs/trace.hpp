@@ -38,11 +38,13 @@ inline constexpr std::uint16_t kStateChange = 5;    // station: a=from, b=to
 inline constexpr std::uint16_t kEnroll = 6;         // cohort: a=ifs_ns, b=size
 inline constexpr std::uint16_t kCohortFormed = 7;   // cohort: a=ifs_ns
 inline constexpr std::uint16_t kCohortMerge = 8;    // cohort: a=ifs_ns, b=size
-inline constexpr std::uint16_t kCohortDecision = 9; // cohort: a=members, b=due
-inline constexpr std::uint16_t kWithdraw = 10;      // cohort: a=remaining
+inline constexpr std::uint16_t kCohortDecision = 9; // cohort: a=members, b=rows
+inline constexpr std::uint16_t kWithdraw = 10;      // cohort: a=remaining, b=phase
 inline constexpr std::uint16_t kArrival = 11;       // traffic: a=queue_len, b=accepted
 inline constexpr std::uint16_t kDrop = 12;          // traffic: a=drops so far
-inline constexpr std::uint16_t kNumEvents = 13;
+inline constexpr std::uint16_t kNavPark = 13;       // cohort: a=nav_ns left, b=size
+inline constexpr std::uint16_t kNavExpire = 14;     // cohort: a=members, b=expiries
+inline constexpr std::uint16_t kNumEvents = 15;
 }  // namespace ev
 
 /// Short name for an event code ("tx_start", "state", ...); "?" if unknown.

@@ -1,9 +1,10 @@
 // Differential tests for the cohort contention arbiter: the cohort path
-// (one DIFS + one decision event per same-entry cohort) must reproduce the
-// per-station event paths bit-for-bit — across topologies, schemes, the
-// batched and legacy per-slot backoff, traffic gating, RTS/CTS, and
-// dynamic activation — while actually merging contenders (fewer executed
-// events, cohort sizes > 1).
+// (one NAV, one DIFS and one decision event per same-instant cohort, rows
+// drawn on demand) must reproduce the per-station event paths bit-for-bit
+// — across topologies, schemes, the batched and legacy per-slot backoff,
+// traffic gating, RTS/CTS, NAV expiries, and dynamic activation — while
+// actually merging contenders (fewer executed events, cohort sizes > 1)
+// and keeping the host-free work counters inside their gate.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -268,6 +269,211 @@ TEST(ContentionArbiter, RepeatRunsAreDeterministic) {
   const auto b =
       exp::run_scenario(scenario, SchemeConfig::tora_csma(), series_options());
   EXPECT_EQ(hash_run(a), hash_run(b));
+}
+
+// --- NAV phase and on-demand rows -----------------------------------------
+//
+// The scenarios below force the paths the plain runs above reach only by
+// chance: NAV cohorts that actually expire (the reserving exchange never
+// completes), stations deactivated while parked on a NAV, and rows cut
+// short by transmissions from outside the cohort. Each asserts that the
+// mechanism really fired on the cohort path, then byte-compares all three
+// event paths.
+
+/// Backoff audits summed over every station.
+mac::Station::BackoffAudit total_audit(const mac::Network& net) {
+  mac::Station::BackoffAudit t;
+  for (int i = 0; i < net.num_stations(); ++i) {
+    const auto a = net.station(i).backoff_audit();
+    t.drawn += a.drawn;
+    t.consumed += a.consumed;
+    t.rewound += a.rewound;
+    t.outstanding += a.outstanding;
+  }
+  return t;
+}
+
+/// One cohort-path run: lifetime arbiter counters and backoff audits at
+/// the end, plus the queue and audit counters at the end of `warmup_s`
+/// (so ratios can skip the start-up transient).
+struct CohortRun {
+  mac::ContentionArbiter::Stats arbiter;
+  mac::Station::BackoffAudit audit, audit_warm;
+  sim::EventQueue::Stats queue, queue_warm;
+};
+
+CohortRun run_cohort_path(const ScenarioConfig& scenario,
+                          const SchemeConfig& scheme, double seconds,
+                          double warmup_s = 0.0) {
+  PathGuard guard(1, 1);
+  auto net = exp::build_network(scenario, scheme);
+  EXPECT_NE(net->contention_arbiter(), nullptr);
+  net->start();
+  CohortRun r;
+  net->run_for(sim::Duration::seconds(warmup_s));
+  r.queue_warm = net->simulator().queue_stats();
+  r.audit_warm = total_audit(*net);
+  net->run_for(sim::Duration::seconds(seconds));
+  r.arbiter = net->contention_arbiter()->stats();
+  r.queue = net->simulator().queue_stats();
+  r.audit = total_audit(*net);
+  return r;
+}
+
+std::uint64_t parked_now(const mac::ContentionArbiter::Stats& s) {
+  return s.nav_parks - s.nav_expiries - s.nav_withdrawals;
+}
+
+TEST(ContentionArbiter, RtsCtsNavExpiresWhenCtsNeverArrivesBitIdentical) {
+  // Hidden RTS/CTS: bystanders of an RTS reserve the whole four-way
+  // exchange; when the RTS collides at the AP no CTS follows, the channel
+  // stays idle and the NAV cohort's expiry event actually fires.
+  auto scenario = ScenarioConfig::hidden(12, 20.0, 8);
+  scenario.phy.rts_threshold_bits = 0;
+  for (const auto& scheme :
+       {SchemeConfig::standard(), SchemeConfig::tora_csma()}) {
+    const CohortRun run = run_cohort_path(scenario, scheme, 0.5);
+    EXPECT_GT(run.arbiter.nav_expiries, 0u) << scheme.name();
+    EXPECT_GT(run.arbiter.nav_withdrawals, 0u) << scheme.name();
+    expect_paths_identical(scenario, scheme, series_options());
+  }
+}
+
+TEST(ContentionArbiter, NavExpiresWhenAckNeverArrivesBitIdentical) {
+  // Basic access, hidden pairs: a data frame collides at the AP, but a
+  // bystander decoded it cleanly and parked on its SIFS + ACK NAV; the
+  // ACK never comes and the NAV expiry resumes the cohort.
+  const auto scenario = ScenarioConfig::hidden(12, 20.0, 5);
+  for (const auto& scheme :
+       {SchemeConfig::standard(), SchemeConfig::wtop_csma()}) {
+    const CohortRun run = run_cohort_path(scenario, scheme, 0.5);
+    EXPECT_GT(run.arbiter.nav_expiries, 0u) << scheme.name();
+    expect_paths_identical(scenario, scheme, series_options());
+  }
+}
+
+/// Drives a connected wTOP cell to `park_at`, deactivates every station
+/// (whatever phase it is in — several are parked on the data frame's NAV
+/// there), reactivates them 20 ms later and runs on. Returns a hash of
+/// every per-station counter and the medium's transmission count.
+std::uint64_t drive_nav_deactivation(sim::Time park_at, int cohort,
+                                     int batching,
+                                     std::uint64_t* parked_at_toggle) {
+  PathGuard guard(cohort, batching);
+  const auto scenario = ScenarioConfig::connected(10, 3);
+  auto net = exp::build_network(scenario, SchemeConfig::wtop_csma());
+  net->start();
+  net->run_until(park_at);
+  if (parked_at_toggle != nullptr) {
+    *parked_at_toggle = parked_now(net->contention_arbiter()->stats());
+  }
+  for (int i = 0; i < net->num_stations(); ++i)
+    net->station(i).set_active(false);
+  net->run_for(sim::Duration::milliseconds(20));
+  for (int i = 0; i < net->num_stations(); ++i)
+    net->station(i).set_active(true);
+  net->run_for(sim::Duration::seconds(0.2));
+  util::Fnv1a h;
+  for (int i = 0; i < net->num_stations(); ++i) {
+    const auto& c = net->counters().node(static_cast<std::size_t>(i));
+    h.mix_double_word(static_cast<double>(c.data_tx_attempts));
+    h.mix_double_word(static_cast<double>(c.successes));
+    h.mix_double_word(static_cast<double>(c.failures));
+    h.mix_double_word(static_cast<double>(c.bits_delivered));
+  }
+  h.mix_double_word(static_cast<double>(net->medium().transmissions_started()));
+  return h.digest();
+}
+
+TEST(ContentionArbiter, DeactivationDuringNavWaitBitIdentical) {
+  // Find an instant with stations parked on a NAV cohort (cohort path),
+  // then toggle the whole population there on every path: set_active(false)
+  // from kIdleWait must withdraw a parked member in O(1) and leave the
+  // survivors' shared expiry event alone.
+  sim::Time park_at;
+  {
+    PathGuard guard(1, 1);
+    auto net = exp::build_network(ScenarioConfig::connected(10, 3),
+                                  SchemeConfig::wtop_csma());
+    net->start();
+    net->run_for(sim::Duration::milliseconds(50));
+    const auto& stats = net->contention_arbiter()->stats();
+    while (parked_now(stats) < 3) ASSERT_TRUE(net->simulator().step());
+    park_at = net->simulator().now();
+  }
+  std::uint64_t parked = 0;
+  const std::uint64_t cohort = drive_nav_deactivation(park_at, 1, 1, &parked);
+  EXPECT_GE(parked, 3u) << "no station parked on a NAV at the toggle";
+  EXPECT_EQ(cohort, drive_nav_deactivation(park_at, 0, 1, nullptr))
+      << "cohort vs per-station batched";
+  EXPECT_EQ(cohort, drive_nav_deactivation(park_at, 0, 0, nullptr))
+      << "cohort vs per-station per-slot";
+}
+
+TEST(ContentionArbiter, OutOfCohortStartInterruptsRowsBitIdentical) {
+  // Rows drawn ahead (the first rows after entry, or after a capped
+  // batch) are cut short only by a start the cohort did not decide: a
+  // controller beacon, an SIFS response, or another cohort's transmitter
+  // (a hidden neighbourhood, or EIFS vs DIFS entries after a collision).
+  // Those must rewind exactly the undrawn boundaries.
+  const auto connected = ScenarioConfig::connected(12, 4);
+  const auto hidden = ScenarioConfig::hidden(12, 20.0, 2);
+  for (const auto& scheme :
+       {SchemeConfig::wtop_csma(), SchemeConfig::tora_csma()}) {
+    for (const auto* scenario : {&connected, &hidden}) {
+      const CohortRun run = run_cohort_path(*scenario, scheme, 0.5);
+      EXPECT_GT(run.audit.rewound, 0u) << scheme.name();
+      expect_paths_identical(*scenario, scheme, series_options());
+    }
+  }
+}
+
+// --- Host-free counter gate ------------------------------------------------
+//
+// Deterministic work counters (no clocks): contention must cost per
+// channel edge, not per station x edge, and draw (almost) only the slots
+// that elapse. Ratios over 2 simulated seconds after a 2 s warm-up,
+// measured when the NAV phase and on-demand rows were introduced:
+//
+//                               scheduled/fired   rewound/drawn
+//   connected wTOP, n = 60           1.36             0.011
+//     (per-station NAV timers,
+//      pre-drawn 8->64 batches)      6.94             0.66
+//   hidden TORA, n = 20, r = 20      1.33             0.18
+//     (same earlier design)          2.33             0.49
+//
+// The bounds fail the earlier design on both workloads.
+
+void expect_counter_gate(const CohortRun& run, double max_rewound_share,
+                         const char* what) {
+  const std::uint64_t scheduled = run.queue.scheduled - run.queue_warm.scheduled;
+  const std::uint64_t fired = run.queue.fired - run.queue_warm.fired;
+  ASSERT_GT(fired, 0u);
+  EXPECT_LT(static_cast<double>(scheduled) / static_cast<double>(fired), 2.0)
+      << what << ": scheduled=" << scheduled << " fired=" << fired;
+  const std::uint64_t drawn = run.audit.drawn - run.audit_warm.drawn;
+  const std::uint64_t rewound = run.audit.rewound - run.audit_warm.rewound;
+  ASSERT_GT(drawn, 0u);
+  EXPECT_LT(static_cast<double>(rewound) / static_cast<double>(drawn),
+            max_rewound_share)
+      << what << ": rewound=" << rewound << " drawn=" << drawn;
+  EXPECT_EQ(run.audit.drawn,
+            run.audit.consumed + run.audit.rewound + run.audit.outstanding)
+      << what << ": backoff-draw conservation";
+}
+
+TEST(ContentionArbiter, CounterGateConnectedWtopCell) {
+  const CohortRun run = run_cohort_path(ScenarioConfig::connected(60, 1),
+                                        SchemeConfig::wtop_csma(), 2.0, 2.0);
+  expect_counter_gate(run, 0.05, "connected wTOP n=60");
+  // Every data frame's bystanders share one NAV cohort.
+  EXPECT_GT(run.arbiter.nav_parks, 20 * run.arbiter.nav_cohorts);
+}
+
+TEST(ContentionArbiter, CounterGateHiddenToraPlacement) {
+  const CohortRun run = run_cohort_path(ScenarioConfig::hidden(20, 20.0, 1),
+                                        SchemeConfig::tora_csma(), 2.0, 2.0);
+  expect_counter_gate(run, 0.25, "hidden TORA n=20 r=20");
 }
 
 }  // namespace
