@@ -3,6 +3,7 @@
 // controllers must converge to near-optimal operating points (Theorems 1-3).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "analysis/ppersistent.hpp"
@@ -19,8 +20,10 @@ using namespace wlan::exp;
 // ---------------------------------------------------------------------------
 // Simulator vs analytical model for fixed p-persistent CSMA.
 
+// `n` is 64-bit so the struct has no padding: gtest prints the parameter's
+// raw bytes into the test name, and padding bytes would make it vary.
 struct SimVsModelCase {
-  int n;
+  std::int64_t n;
   double p;
 };
 
@@ -28,7 +31,8 @@ class SimVsModel : public ::testing::TestWithParam<SimVsModelCase> {};
 
 TEST_P(SimVsModel, ThroughputMatchesEq3) {
   const auto& c = GetParam();
-  auto scenario = ScenarioConfig::connected(c.n, /*seed=*/5);
+  auto scenario =
+      ScenarioConfig::connected(static_cast<int>(c.n), /*seed=*/5);
   RunOptions opts;
   opts.warmup = sim::Duration::seconds(1.0);
   opts.measure = sim::Duration::seconds(10.0);
