@@ -39,6 +39,7 @@ class IdleSenseStrategy final : public mac::FixedCwStrategy {
   /// Fed by the station's IdleSlotMeter with one sample per observed
   /// transmission.
   void on_transmission_observed(double idle_slots) override;
+  bool observes_idle_slots() const override { return true; }
 
   std::string name() const override { return "IdleSense"; }
 

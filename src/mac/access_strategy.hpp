@@ -44,6 +44,9 @@ class AccessStrategy {
   /// One busy period was observed on the channel preceded by `idle_slots`
   /// idle slots (IdleSense's measurement hook; default ignores it).
   virtual void on_transmission_observed(double idle_slots);
+  /// True when on_transmission_observed does something; the station only
+  /// forwards its idle-slot samples then.
+  virtual bool observes_idle_slots() const { return false; }
 
   /// Batched-backoff support (mac::Station pre-draws a run of slot
   /// decisions at backoff entry and schedules a single decision event).

@@ -93,6 +93,28 @@
 // observationally identical; the differential tests exist to keep that
 // argument honest.
 //
+// Domain edges. phy::Medium groups nodes into sensing domains (nodes with
+// the same heard-from set plus self; see medium.hpp) and reports a busy or
+// idle edge of a single-domain source once per domain instead of once per
+// member. mac::Network hands the domain's stations to freeze() / resume(),
+// which do exactly what Station::on_channel_busy / on_channel_idle would
+// do for each member, in one pass in ascending id order: members leave
+// their cohorts in O(1), waiting members join the NAV or IFS cohort the
+// previous member joined without a search, and the busy edge's idle-slot
+// sample is divided once for every member whose idle span is the same.
+// The per-node order matters only where members meet — the cohorts they
+// join — and ascending id is the order the per-node cascade used, so
+// join order, cohort creation and event seqs are unchanged. A member's
+// sensed count is its domain's count minus its own transmission (exact:
+// every member hears every source its domain counts), so the one edge is
+// every member's edge. Fully connected cells and ESS cells take this
+// path; hidden-node placements have no single-domain source and keep the
+// per-node callbacks. Traced and flight-recorded runs call the stations'
+// own callbacks instead, so every state change and contention span is
+// recorded; the traced-vs-untraced identity tests (tests/test_obs.cpp)
+// and CI's traced/flight `cmp` gates therefore also compare the one-pass
+// loops against the callbacks they stand in for.
+//
 // Enabled per-Network via mac::Station::cohort_enabled() (WLAN_COHORT,
 // default on, requires batched backoff); the per-station path remains and
 // is byte-compared in CI.
@@ -101,8 +123,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "mac/wifi_params.hpp"
+#include "phy/frame.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
@@ -147,6 +172,24 @@ class ContentionArbiter {
   /// the slot becomes a tombstone, and the cohort's event is cancelled
   /// only when its last member leaves.
   void withdraw(Station& station);
+
+  /// Domain edges (mac::Network is the medium's phy::DomainListener).
+  /// Node id `first_id + i` is stations[i].
+  void bind_stations(Station* stations, phy::NodeId first_id,
+                     const WifiParams& params);
+  /// A busy domain edge: exactly Station::on_channel_busy for every
+  /// station in `members` (ascending ids) except `source`, in one pass —
+  /// backoff and IFS members leave their cohorts, NAV-parked members leave
+  /// theirs, and members sampling the same idle span share one division.
+  void freeze(std::span<const phy::NodeId> members, phy::NodeId source,
+              sim::Time now, bool slot_committed);
+  /// An idle domain edge: exactly Station::on_channel_idle for every
+  /// station in `members` except `source`. Waiting members resume in
+  /// ascending id order, so each NAV or IFS cohort they form keeps the
+  /// join order of the per-node cascade; a member bound for the cohort
+  /// the previous one joined appends without a search.
+  void resume(std::span<const phy::NodeId> members, phy::NodeId source,
+              sim::Time now);
 
   /// Lifetime counters for tests and benchmarks.
   struct Stats {
@@ -218,6 +261,10 @@ class ContentionArbiter {
 
   sim::Simulator& sim_;
   sim::Duration slot_;
+  Station* stations_ = nullptr;  // domain edges: node id -> station
+  phy::NodeId first_station_ = 0;
+  sim::Duration difs_;
+  sim::Duration eifs_;
   std::vector<std::unique_ptr<WaitCohort>> nav_;
   std::vector<std::unique_ptr<WaitCohort>> pending_;
   std::vector<std::unique_ptr<BackoffCohort>> backoff_;

@@ -43,7 +43,7 @@
 
 namespace wlan::mac {
 
-class Network {
+class Network final : private phy::DomainListener {
  public:
   /// Single-BSS: the AP sits at `ap_position`. `seed` drives every
   /// stochastic choice in the network (per-station sub-streams are derived
@@ -158,6 +158,13 @@ class Network {
   }
 
  private:
+  // phy::DomainListener (cohort path): a domain edge reaches the members
+  // as one group — see on_domain_busy in network.cpp.
+  void on_domain_busy(std::span<const phy::NodeId> members,
+                      phy::NodeId source, sim::Time now) override;
+  void on_domain_idle(std::span<const phy::NodeId> members,
+                      phy::NodeId source, sim::Time now) override;
+
   /// Everything add_station records; the Station itself is built at
   /// finalize() (its Medium slot already holds the position).
   struct PendingStation {

@@ -61,8 +61,9 @@ Station::Station(sim::Simulator& simulator, phy::Medium& medium,
       rng_(rng),
       idle_meter_(params.slot, params.difs) {
   assert(strategy_ != nullptr);
-  idle_meter_.set_sample_callback(
-      [this](double slots) { strategy_->on_transmission_observed(slots); });
+  if (strategy_->observes_idle_slots())
+    idle_meter_.set_sample_callback(
+        [this](double slots) { strategy_->on_transmission_observed(slots); });
 }
 
 void Station::attach(phy::NodeId self, phy::NodeId ap,
@@ -84,13 +85,6 @@ void Station::set_traffic_source(traffic::TrafficSource* source) {
 void Station::set_contention_arbiter(ContentionArbiter* arbiter) {
   assert(arbiter == nullptr || batching_enabled());
   arbiter_ = arbiter;
-}
-
-void Station::set_state(State next) {
-  WLAN_OBS_POINT(sim_, obs::kCatStation, obs::ev::kStateChange, self_,
-                 static_cast<std::uint64_t>(state_),
-                 static_cast<std::uint64_t>(next));
-  state_ = next;
 }
 
 void Station::start() {
@@ -315,10 +309,20 @@ void Station::rollback_backoff(bool boundary_draw_counts) {
   // are scheduled at the same instant they start; ACK/CTS/beacon starts
   // were scheduled at least a SIFS — more than a slot — earlier and fire
   // first, cancelling the boundary). Rewind and replay exactly that many.
-  const std::int64_t elapsed = (sim_.now() - backoff_origin_).ns();
-  const std::int64_t slot_ns = params_.slot.ns();
-  std::int64_t replay = elapsed / slot_ns;
-  if (replay > 0 && elapsed % slot_ns == 0 && !boundary_draw_counts) --replay;
+  auto boundaries = [&] {
+    const std::int64_t elapsed = (sim_.now() - backoff_origin_).ns();
+    const std::int64_t slot_ns = params_.slot.ns();
+    std::int64_t n = elapsed / slot_ns;
+    if (n > 0 && elapsed % slot_ns == 0 && !boundary_draw_counts) --n;
+    return n;
+  };
+  // Nothing drawn (the cohort path's lazy rows): no boundary can have
+  // passed either, so there is nothing to count or rewind.
+  if (batch_planned_ == 0) {
+    assert(boundaries() == 0);
+    return;
+  }
+  const std::int64_t replay = boundaries();
   assert(replay <= batch_planned_);
   audit_consumed_ += static_cast<std::uint64_t>(replay);
   // Nothing drawn ahead (the cohort path's lazy rows): the RNG and
@@ -417,7 +421,8 @@ void Station::on_channel_busy(sim::Time now) {
   // draws belong to boundaries that preceded this transition, while the
   // meter's sample callback (IdleSense's on_transmission_observed) fires
   // at it — the per-slot scheme's exact order.
-  if (state_ == State::kBackoff && batching_enabled())
+  if (state_ == State::kBackoff &&
+      (arbiter_ != nullptr || batching_enabled()))
     rollback_backoff(medium_.last_start_slot_committed());
   idle_meter_.on_sensed_busy(now);
   switch (state_) {

@@ -59,6 +59,7 @@
 
 #include "mac/access_strategy.hpp"
 #include "mac/wifi_params.hpp"
+#include "obs/trace.hpp"
 #include "phy/medium.hpp"
 #include "sim/simulator.hpp"
 #include "stats/counters.hpp"
@@ -185,7 +186,12 @@ class Station final : public phy::MediumClient {
 
   /// The single write path for state_: every transition goes through here
   /// so the obs trace sees them all (and sees them nowhere else).
-  void set_state(State next);
+  void set_state(State next) {
+    WLAN_OBS_POINT(sim_, obs::kCatStation, obs::ev::kStateChange, self_,
+                   static_cast<std::uint64_t>(state_),
+                   static_cast<std::uint64_t>(next));
+    state_ = next;
+  }
 
   void resume_contention();
   /// NAV-expiry timer body: re-check the channel if still waiting on it.

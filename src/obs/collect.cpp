@@ -31,6 +31,9 @@ MetricsRegistry collect_metrics(mac::Network& net) {
   reg.set_count("medium.corrupt_deliveries", medium.corrupt_deliveries());
   reg.set_count("medium.pairs_scanned", medium.marking_pairs_scanned());
   reg.set_count("medium.interference_checks", medium.interference_checks());
+  reg.set_count("medium.domains", medium.num_domains());
+  reg.set_count("medium.sense_callbacks", medium.sense_callbacks());
+  reg.set_count("medium.domain_edges", medium.domain_edges());
 
   if (const mac::ContentionArbiter* arb = net.contention_arbiter()) {
     const mac::ContentionArbiter::Stats& as = arb->stats();

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
@@ -50,7 +51,6 @@ NodeId Medium::add_node(const Vec2& position) {
   if (finalized_) throw std::logic_error("Medium: add_node after finalize()");
   positions_.push_back(position);
   clients_.push_back(nullptr);
-  sensed_count_.push_back(0);
   transmitting_.push_back(0);
   return static_cast<NodeId>(positions_.size() - 1);
 }
@@ -127,6 +127,23 @@ void Medium::build_decode_mask() {
   }
 }
 
+void Medium::reverse_rows(const std::vector<std::uint32_t>& off,
+                          const std::vector<NodeId>& ids,
+                          std::vector<std::uint32_t>& rev_off,
+                          std::vector<NodeId>& rev_ids) {
+  // Row r of the reverse lists every s whose row holds r. Filling in
+  // ascending s keeps every reverse row ascending.
+  const std::size_t n = off.size() - 1;
+  rev_off.assign(n + 1, 0);
+  for (const NodeId r : ids) ++rev_off[static_cast<std::size_t>(r) + 1];
+  for (std::size_t i = 1; i <= n; ++i) rev_off[i] += rev_off[i - 1];
+  rev_ids.resize(ids.size());
+  std::vector<std::uint32_t> cur(rev_off.begin(), rev_off.end() - 1);
+  for (std::size_t s = 0; s < n; ++s)
+    for (std::uint32_t k = off[s]; k < off[s + 1]; ++k)
+      rev_ids[cur[static_cast<std::size_t>(ids[k])]++] = static_cast<NodeId>(s);
+}
+
 void Medium::build_peer_index() {
   // o is an interference peer of s iff a transmission from o overlapping
   // one from s can change an OBSERVABLE reception, i.e. set a corruption
@@ -150,29 +167,12 @@ void Medium::build_peer_index() {
     return;
   }
 
-  // Reverse CSRs. Filling in ascending source order keeps each reverse row
-  // ascending too (not required for correctness — marking is commutative
-  // and idempotent — but deterministic and cache-friendly).
-  std::vector<std::uint32_t> ra_off(n + 1, 0), rd_off(n + 1, 0);
-  for (const NodeId r : aud_ids_) ++ra_off[static_cast<std::size_t>(r) + 1];
-  for (const NodeId r : dec_ids_) ++rd_off[static_cast<std::size_t>(r) + 1];
-  for (std::size_t i = 1; i <= n; ++i) {
-    ra_off[i] += ra_off[i - 1];
-    rd_off[i] += rd_off[i - 1];
-  }
-  std::vector<NodeId> ra_ids(aud_ids_.size()), rd_ids(dec_ids_.size());
-  {
-    std::vector<std::uint32_t> ra_cur(ra_off.begin(), ra_off.end() - 1);
-    std::vector<std::uint32_t> rd_cur(rd_off.begin(), rd_off.end() - 1);
-    for (std::size_t s = 0; s < n; ++s) {
-      for (std::uint32_t k = aud_off_[s]; k < aud_off_[s + 1]; ++k)
-        ra_ids[ra_cur[static_cast<std::size_t>(aud_ids_[k])]++] =
-            static_cast<NodeId>(s);
-      for (std::uint32_t k = dec_off_[s]; k < dec_off_[s + 1]; ++k)
-        rd_ids[rd_cur[static_cast<std::size_t>(dec_ids_[k])]++] =
-            static_cast<NodeId>(s);
-    }
-  }
+  // Reverse CSRs (ascending rows: not required for correctness — marking
+  // is commutative and idempotent — but deterministic and cache-friendly).
+  std::vector<std::uint32_t> ra_off, rd_off;
+  std::vector<NodeId> ra_ids, rd_ids;
+  reverse_rows(aud_off_, aud_ids_, ra_off, ra_ids);
+  reverse_rows(dec_off_, dec_ids_, rd_off, rd_ids);
 
   // Work estimate first: dense topologies (everyone a peer of everyone)
   // would cost O(n^3) candidate visits here for an index that buys
@@ -252,25 +252,119 @@ void Medium::finalize() {
   scratch_corrupt_.assign(words_per_tx_, 0);
   active_.reserve(n);
 
+  build_domains();
   airtime_epoch_ = sim_.now();
-  busy_ns_.assign(n, 0);
-  idle_ns_.assign(n, 0);
-  last_sense_change_.assign(n, airtime_epoch_);
+  const std::size_t d = num_domains();
+  carrier_.assign(d, 0);
+  member_tx_n_.assign(d, 0);
+  member_tx_xor_.assign(d, 0);
+  dom_busy_ns_.assign(d, 0);
+  dom_idle_ns_.assign(d, 0);
+  dom_last_change_.assign(d, airtime_epoch_);
+  own_counted_.assign(n, 0);
+  solo_ns_.assign(n, 0);
+  solo_since_.assign(n, airtime_epoch_);
+}
+
+void Medium::build_domains() {
+  // Key of node m: the sources m hears plus m itself, i.e. the reverse
+  // audibility row of m with m merged in. Nodes are grouped by a hash of
+  // the key and confirmed by exact comparison with the domain's first
+  // member — O(edges) for any topology, including 5k-station ESS plans.
+  const std::size_t n = positions_.size();
+  std::vector<std::uint32_t> ra_off;
+  std::vector<NodeId> ra_ids;
+  reverse_rows(aud_off_, aud_ids_, ra_off, ra_ids);
+  auto key_of = [&](std::size_t m, std::vector<NodeId>& out) {
+    out.assign(ra_ids.begin() + ra_off[m], ra_ids.begin() + ra_off[m + 1]);
+    out.insert(std::upper_bound(out.begin(), out.end(),
+                                static_cast<NodeId>(m)),
+               static_cast<NodeId>(m));
+  };
+
+  domain_of_.assign(n, 0);
+  std::vector<NodeId> first;  // domain -> first member
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_hash;
+  std::vector<NodeId> key, other;
+  for (std::size_t m = 0; m < n; ++m) {
+    key_of(m, key);
+    std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the ids
+    for (const NodeId v : key) {
+      h ^= static_cast<std::uint32_t>(v);
+      h *= 0x100000001b3ULL;
+    }
+    auto& bucket = by_hash[h];
+    std::uint32_t dom = static_cast<std::uint32_t>(first.size());
+    for (const std::uint32_t cand : bucket) {
+      key_of(static_cast<std::size_t>(first[cand]), other);
+      if (other == key) {
+        dom = cand;
+        break;
+      }
+    }
+    if (dom == first.size()) {
+      first.push_back(static_cast<NodeId>(m));
+      bucket.push_back(dom);
+    }
+    domain_of_[m] = dom;
+  }
+
+  const std::size_t nd = first.size();
+  dom_off_.assign(nd + 1, 0);
+  for (std::size_t m = 0; m < n; ++m) ++dom_off_[domain_of_[m] + 1];
+  for (std::size_t i = 1; i <= nd; ++i) dom_off_[i] += dom_off_[i - 1];
+  dom_ids_.resize(n);
+  {
+    std::vector<std::uint32_t> cur(dom_off_.begin(), dom_off_.end() - 1);
+    for (std::size_t m = 0; m < n; ++m)
+      dom_ids_[cur[domain_of_[m]]++] = static_cast<NodeId>(m);
+  }
+
+  // Single-domain sources, and the domain lists of the others.
+  single_.assign(n, 0);
+  src_dom_off_.assign(n + 1, 0);
+  src_dom_ids_.clear();
+  std::vector<std::uint32_t> stamp(nd, UINT32_MAX);
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::uint32_t own = domain_of_[s];
+    bool single = true;
+    for (std::uint32_t k = aud_off_[s]; k < aud_off_[s + 1]; ++k)
+      if (domain_of_[static_cast<std::size_t>(aud_ids_[k])] != own) {
+        single = false;
+        break;
+      }
+    single_[s] = single ? 1 : 0;
+    if (!single) {
+      stamp[own] = static_cast<std::uint32_t>(s);
+      src_dom_ids_.push_back(own);
+      for (std::uint32_t k = aud_off_[s]; k < aud_off_[s + 1]; ++k) {
+        const std::uint32_t d = domain_of_[static_cast<std::size_t>(aud_ids_[k])];
+        if (stamp[d] == s) continue;
+        stamp[d] = static_cast<std::uint32_t>(s);
+        src_dom_ids_.push_back(d);
+      }
+    }
+    src_dom_off_[s + 1] = static_cast<std::uint32_t>(src_dom_ids_.size());
+  }
 }
 
 Medium::NodeAirtime Medium::node_airtime(NodeId n, sim::Time now) const {
   const auto i = static_cast<std::size_t>(n);
-  NodeAirtime a{busy_ns_[i], idle_ns_[i]};
-  const std::int64_t open = (now - last_sense_change_[i]).ns();
-  if (sensed_count_[i] > 0)
+  const std::size_t d = domain_of_[i];
+  NodeAirtime a{dom_busy_ns_[d], dom_idle_ns_[d]};
+  const std::int64_t open = (now - dom_last_change_[d]).ns();
+  if (carrier_[d] > 0)
     a.busy_ns += open;
   else
     a.idle_ns += open;
+  // Solo time: the domain counted as busy, but only n's own transmission
+  // made it so — n itself sensed idle.
+  std::int64_t solo = solo_ns_[i];
+  if (own_counted_[i] != 0 && carrier_[d] == 1)
+    solo += (now - solo_since_[i]).ns();
+  a.busy_ns -= solo;
+  a.idle_ns += solo;
   return a;
-}
-
-bool Medium::is_busy_for(NodeId n) const {
-  return sensed_count_[static_cast<std::size_t>(n)] > 0;
 }
 
 bool Medium::is_transmitting(NodeId n) const {
@@ -433,17 +527,7 @@ void Medium::start_transmission(NodeId src, const Frame& frame,
   active_.push_back(src);
 
   // Carrier-sense: every listener audible to us sees one more transmission.
-  {
-    const NodeId* e = row_end(aud_off_, aud_ids_, src);
-    for (const NodeId* p = row_begin(aud_off_, aud_ids_, src); p != e; ++p) {
-      const auto o = static_cast<std::size_t>(*p);
-      if (++sensed_count_[o] == 1) {
-        idle_ns_[o] += (start - last_sense_change_[o]).ns();
-        last_sense_change_[o] = start;
-        clients_[o]->on_channel_busy(start);
-      }
-    }
-  }
+  sense_start(src, start);
   // The flag is only meaningful inside the synchronous busy cascade above;
   // drop it so a later out-of-cascade read gets the conservative answer.
   last_start_slot_committed_ = false;
@@ -501,15 +585,132 @@ void Medium::end_transmission(NodeId src, std::uint64_t tx_id) {
     }
   }
 
+  sense_end(src, now);
+}
+
+void Medium::domain_flip(std::size_t d, std::int32_t before, sim::Time now) {
+  const std::int64_t span = (now - dom_last_change_[d]).ns();
+  if (before == 0) {
+    dom_idle_ns_[d] += span;
+  } else {
+    dom_busy_ns_[d] += span;
+  }
+  dom_last_change_[d] = now;
+}
+
+void Medium::toggle_own(NodeId src, std::size_t d) {
+  const auto si = static_cast<std::size_t>(src);
+  own_counted_[si] ^= 1;
+  if (own_counted_[si] != 0) {
+    ++member_tx_n_[d];
+  } else {
+    --member_tx_n_[d];
+  }
+  member_tx_xor_[d] ^= static_cast<std::uint32_t>(src);
+}
+
+void Medium::notify_busy(NodeId n, sim::Time now) {
+  ++sense_callbacks_;
+  clients_[static_cast<std::size_t>(n)]->on_channel_busy(now);
+}
+
+void Medium::notify_idle(NodeId n, sim::Time now) {
+  ++sense_callbacks_;
+  clients_[static_cast<std::size_t>(n)]->on_channel_idle(now);
+}
+
+// A member m's sensed count is C - own(m), so an edge reaches m exactly
+// when that difference crosses 0 <-> 1. For a single-domain source s
+// (every listener a member of s's domain) that is: all members but s when
+// C crosses 0 <-> 1, and, when C crosses 1 <-> 2, the one member whose
+// own transmission is the rest of the count. The own-solo bookkeeping
+// follows the same crossings (see node_airtime).
+void Medium::sense_start(NodeId src, sim::Time now) {
+  const auto si = static_cast<std::size_t>(src);
+  const std::size_t d0 = domain_of_[si];
+  if (single_[si]) {
+    const std::uint32_t lone = member_tx_n_[d0] == 1 ? member_tx_xor_[d0]
+                                                     : UINT32_MAX;
+    const std::int32_t before = carrier_[d0]++;
+    toggle_own(src, d0);
+    if (before == 0) {
+      domain_flip(d0, 0, now);
+      solo_begin(si, now);
+      if (dom_off_[d0 + 1] - dom_off_[d0] < 2) return;  // no listener
+      if (domain_listener_ != nullptr) {
+        ++domain_edges_;
+        domain_listener_->on_domain_busy(
+            domain_members(static_cast<std::uint32_t>(d0)), src, now);
+      } else {
+        for (const NodeId m : domain_members(static_cast<std::uint32_t>(d0)))
+          if (m != src) notify_busy(m, now);
+      }
+    } else if (before == 1 && lone != UINT32_MAX) {
+      solo_end(lone, now);
+      notify_busy(static_cast<NodeId>(lone), now);
+    }
+    return;
+  }
+
+  for (std::uint32_t k = src_dom_off_[si]; k < src_dom_off_[si + 1]; ++k) {
+    const std::size_t d = src_dom_ids_[k];
+    const std::int32_t before = carrier_[d]++;
+    if (before == 0) domain_flip(d, 0, now);
+  }
+  toggle_own(src, d0);
+  if (carrier_[d0] == 1) solo_begin(si, now);
+  // Per-node cascade in audibility-row order. Every count is final before
+  // the first callback; a callback reads only its own node's state.
   const NodeId* e = row_end(aud_off_, aud_ids_, src);
   for (const NodeId* p = row_begin(aud_off_, aud_ids_, src); p != e; ++p) {
     const auto o = static_cast<std::size_t>(*p);
-    assert(sensed_count_[o] > 0);
-    if (--sensed_count_[o] == 0) {
-      busy_ns_[o] += (now - last_sense_change_[o]).ns();
-      last_sense_change_[o] = now;
-      clients_[o]->on_channel_idle(now);
+    if (carrier_[domain_of_[o]] - own_counted_[o] != 1) continue;
+    if (own_counted_[o] != 0) solo_end(o, now);
+    notify_busy(*p, now);
+  }
+}
+
+void Medium::sense_end(NodeId src, sim::Time now) {
+  const auto si = static_cast<std::size_t>(src);
+  const std::size_t d0 = domain_of_[si];
+  if (single_[si]) {
+    toggle_own(src, d0);
+    const std::int32_t after = --carrier_[d0];
+    assert(after >= 0);
+    if (after == 0) {
+      domain_flip(d0, 1, now);
+      solo_end(si, now);
+      if (dom_off_[d0 + 1] - dom_off_[d0] < 2) return;
+      if (domain_listener_ != nullptr) {
+        ++domain_edges_;
+        domain_listener_->on_domain_idle(
+            domain_members(static_cast<std::uint32_t>(d0)), src, now);
+      } else {
+        for (const NodeId m : domain_members(static_cast<std::uint32_t>(d0)))
+          if (m != src) notify_idle(m, now);
+      }
+    } else if (after == 1 && member_tx_n_[d0] == 1) {
+      const std::uint32_t lone = member_tx_xor_[d0];
+      solo_begin(lone, now);
+      notify_idle(static_cast<NodeId>(lone), now);
     }
+    return;
+  }
+
+  if (carrier_[d0] == 1) solo_end(si, now);
+  toggle_own(src, d0);
+  for (std::uint32_t k = src_dom_off_[si]; k < src_dom_off_[si + 1]; ++k) {
+    const std::size_t d = src_dom_ids_[k];
+    const std::int32_t after = --carrier_[d];
+    assert(after >= 0);
+    if (after == 0) domain_flip(d, 1, now);
+  }
+  const NodeId* e = row_end(aud_off_, aud_ids_, src);
+  for (const NodeId* p = row_begin(aud_off_, aud_ids_, src); p != e; ++p) {
+    const auto o = static_cast<std::size_t>(*p);
+    if (carrier_[domain_of_[o]] - own_counted_[o] != 0) continue;
+    if (own_counted_[o] != 0) solo_begin(o, now);
+    notify_idle(*p, now);
   }
 }
 

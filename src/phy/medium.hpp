@@ -32,9 +32,37 @@
 // carrier-sense / delivery callback orders are unchanged.
 // tests/test_medium_differential.cpp pins this with randomized series-hash
 // comparisons; CI additionally cmp-gates driver CSVs across the knob.
+//
+// Sensing domains. finalize() splits the nodes into domains: a domain is
+// the set of nodes whose "heard-from set plus self" K is identical. Every
+// member of a domain therefore hears every other member, and a source
+// heard by one member is heard by all of them (except itself). The medium
+// keeps ONE carrier count C per domain — the in-flight sources in K — and
+// a per-node flag for "my own transmission is counted". A member's sensed
+// count is then exactly C - [own transmission counted]: K \ {m} is the
+// set m hears, and m itself is in K. No per-node count is stored.
+//
+// A source whose listeners all lie in its own domain (a *single-domain*
+// source) moves one count. C 0 -> 1 / 1 -> 0 is one *domain edge* reaching
+// every member except the source, in ascending id order; C 1 <-> 2 reaches
+// only the one member whose own transmission was (or is again) the whole
+// count. Everything else is a silent count change. A domain edge goes to
+// the DomainListener when one is installed (mac::Network moves the
+// domain's stations as one group there) and otherwise to each member's
+// client, in ascending id order — the per-node cascade's order, since the
+// source's audibility row is exactly the other members. Sources heard by
+// more than one domain — the only kind hidden-node topologies have — keep
+// the per-node cascade over their audibility row: every domain count they
+// touch is updated first, then each listener whose own difference crossed
+// 0 <-> 1 gets its callback. A fully connected cell is one domain; an ESS
+// of well-separated cells is one domain per cell. Per-node airtime
+// integrals are derived from per-domain integrals plus per-node "solo"
+// time (sensed idle while only the node's own transmission keeps C above
+// zero), so they stay exact too.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "phy/frame.hpp"
@@ -61,6 +89,19 @@ class MediumClient {
   /// lost to a collision or its own half-duplex transmission.
   virtual void on_frame_received(const Frame& frame, bool clean,
                                  sim::Time now) = 0;
+};
+
+/// Receives domain edges for single-domain sources (see the header
+/// comment). A handler must act exactly as calling on_channel_busy /
+/// on_channel_idle on every member's client except `source`, in the given
+/// (ascending) order.
+class DomainListener {
+ public:
+  virtual ~DomainListener() = default;
+  virtual void on_domain_busy(std::span<const NodeId> members, NodeId source,
+                              sim::Time now) = 0;
+  virtual void on_domain_idle(std::span<const NodeId> members, NodeId source,
+                              sim::Time now) = 0;
 };
 
 class Medium {
@@ -95,8 +136,29 @@ class Medium {
   void set_capture_ratio(double ratio) { capture_ratio_ = ratio; }
   double capture_ratio() const { return capture_ratio_; }
 
+  /// Routes domain edges to `listener` (not owned; nullptr = call the
+  /// members' clients one by one).
+  void set_domain_listener(DomainListener* listener) {
+    domain_listener_ = listener;
+  }
+
+  /// Sensing domains (valid after finalize()).
+  std::size_t num_domains() const { return dom_off_.empty() ? 0 : dom_off_.size() - 1; }
+  std::uint32_t domain_of(NodeId n) const {
+    return domain_of_[static_cast<std::size_t>(n)];
+  }
+  /// Members of domain `d`, ascending.
+  std::span<const NodeId> domain_members(std::uint32_t d) const {
+    return {dom_ids_.data() + dom_off_[d], dom_ids_.data() + dom_off_[d + 1]};
+  }
+  /// True when every node that senses `s` lies in s's own domain (its
+  /// busy/idle edges take the domain path).
+  bool single_domain_source(NodeId s) const {
+    return single_[static_cast<std::size_t>(s)] != 0;
+  }
+
   /// Sensed-busy state for node `n` (excludes n's own transmissions).
-  bool is_busy_for(NodeId n) const;
+  bool is_busy_for(NodeId n) const { return sensed_count(n) > 0; }
 
   /// True while node `n` is transmitting.
   bool is_transmitting(NodeId n) const;
@@ -138,6 +200,12 @@ class Medium {
   /// Per-receiver interference checks performed (mask-filtered on the
   /// incremental path; every audible receiver on the legacy path).
   std::uint64_t interference_checks() const { return interference_checks_; }
+  /// Per-node carrier-sense callbacks (on_channel_busy / on_channel_idle
+  /// calls on one client), including domain edges delivered member by
+  /// member when no DomainListener is installed.
+  std::uint64_t sense_callbacks() const { return sense_callbacks_; }
+  /// Domain edges handed to the DomainListener.
+  std::uint64_t domain_edges() const { return domain_edges_; }
 
   /// Incremental marking master switch (WLAN_INCR_MEDIUM, default on),
   /// latched per Medium at construction. set_incremental_override forces it
@@ -155,18 +223,19 @@ class Medium {
   /// Interference peers of `s` (ascending); empty when no index was built.
   std::vector<NodeId> interference_peers(NodeId s) const;
 
-  // --- auditor read-side (obs/audit.hpp). Pure accessors plus per-node
-  // busy/idle integrals maintained at the 0<->1 sensed transitions the
-  // carrier-sense cascade already pays for — no new events, no behaviour.
+  // --- auditor read-side (obs/audit.hpp). Pure accessors; the per-node
+  // answers are derived from the domain counts and integrals the sensing
+  // code keeps anyway — no new events, no behaviour.
 
   /// Sources currently in flight (unordered, swap-removed).
   const std::vector<NodeId>& active_transmission_sources() const {
     return active_;
   }
   /// Number of in-flight transmissions node `n` currently senses
-  /// (excluding its own).
+  /// (excluding its own): its domain's count minus its own transmission.
   std::int32_t sensed_count(NodeId n) const {
-    return sensed_count_[static_cast<std::size_t>(n)];
+    const auto i = static_cast<std::size_t>(n);
+    return carrier_[domain_of_[i]] - own_counted_[i];
   }
 
   /// Closed per-node airtime split since finalize(). The conservation law
@@ -177,7 +246,8 @@ class Medium {
     std::int64_t idle_ns = 0;
   };
   /// The split at `now`, with the open interval since the last sensed
-  /// transition attributed to the current state (no mutation).
+  /// transition attributed to the current state (no mutation): the
+  /// domain's [C > 0] integral, less the node's solo time.
   NodeAirtime node_airtime(NodeId n, sim::Time now) const;
   /// The instant finalize() started the integrals.
   sim::Time airtime_epoch() const { return airtime_epoch_; }
@@ -204,7 +274,29 @@ class Medium {
   void mark_pair_masked(NodeId src, NodeId o);
   void end_transmission(NodeId src, std::uint64_t tx_id);
 
+  /// Counts src's transmission in every domain whose key holds it and
+  /// delivers the resulting busy edges.
+  void sense_start(NodeId src, sim::Time now);
+  /// Releases it again, delivering the idle edges.
+  void sense_end(NodeId src, sim::Time now);
+  /// Domain d's count changed from `before`; keeps its busy/idle integral.
+  void domain_flip(std::size_t d, std::int32_t before, sim::Time now);
+  /// Counts src's own transmission in its domain d, or stops counting it.
+  void toggle_own(NodeId src, std::size_t d);
+  void solo_begin(std::size_t n, sim::Time now) { solo_since_[n] = now; }
+  void solo_end(std::size_t n, sim::Time now) {
+    solo_ns_[n] += (now - solo_since_[n]).ns();
+  }
+  void notify_busy(NodeId n, sim::Time now);
+  void notify_idle(NodeId n, sim::Time now);
+
   void build_adjacency();
+  void build_domains();
+  /// The reverse of a CSR adjacency (row r: every s whose row holds r).
+  static void reverse_rows(const std::vector<std::uint32_t>& off,
+                           const std::vector<NodeId>& ids,
+                           std::vector<std::uint32_t>& rev_off,
+                           std::vector<NodeId>& rev_ids);
   void build_decode_mask();
   void build_peer_index();
 
@@ -232,18 +324,33 @@ class Medium {
   sim::Simulator& sim_;
   const PropagationModel& propagation_;
 
-  // Hot per-node state, structure-of-arrays: the carrier-sense cascade
-  // touches sensed_count_ for a contiguous run of neighbours without
-  // dragging positions/adjacency bookkeeping through the cache.
+  // Per-node state, structure-of-arrays.
   std::vector<Vec2> positions_;
   std::vector<MediumClient*> clients_;
-  std::vector<std::int32_t> sensed_count_;  // audible active tx (not own)
   std::vector<std::uint8_t> transmitting_;
-  // Per-node airtime integrals (see node_airtime); sized at finalize().
-  std::vector<std::int64_t> busy_ns_;
-  std::vector<std::int64_t> idle_ns_;
-  std::vector<sim::Time> last_sense_change_;
   sim::Time airtime_epoch_ = sim::Time::zero();
+
+  // Sensing domains (built at finalize; see the header comment).
+  std::vector<std::uint32_t> domain_of_;  // node -> domain
+  std::vector<std::uint32_t> dom_off_;    // domain -> members, ascending
+  std::vector<NodeId> dom_ids_;
+  std::vector<std::uint8_t> single_;      // node: single-domain source
+  // Multi-domain sources: the distinct domains whose key holds s.
+  std::vector<std::uint32_t> src_dom_off_;
+  std::vector<std::uint32_t> src_dom_ids_;
+  std::vector<std::int32_t> carrier_;       // C per domain
+  std::vector<std::int32_t> own_counted_;   // node: own tx counted (0/1)
+  // Per domain: members whose own transmission is counted, and the XOR
+  // of their ids (the id itself when exactly one is).
+  std::vector<std::uint32_t> member_tx_n_;
+  std::vector<std::uint32_t> member_tx_xor_;
+  // Airtime: per-domain [C > 0] integrals, per-node solo time.
+  std::vector<std::int64_t> dom_busy_ns_;
+  std::vector<std::int64_t> dom_idle_ns_;
+  std::vector<sim::Time> dom_last_change_;
+  std::vector<std::int64_t> solo_ns_;
+  std::vector<sim::Time> solo_since_;
+  DomainListener* domain_listener_ = nullptr;
 
   // Adjacency in CSR form, rows ascending (identical iteration order to the
   // per-node vectors this replaced — callback order is behaviour).
@@ -281,6 +388,8 @@ class Medium {
   std::uint64_t corrupt_deliveries_ = 0;
   std::uint64_t pairs_scanned_ = 0;
   std::uint64_t interference_checks_ = 0;
+  std::uint64_t sense_callbacks_ = 0;
+  std::uint64_t domain_edges_ = 0;
 };
 
 }  // namespace wlan::phy

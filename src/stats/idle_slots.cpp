@@ -13,39 +13,6 @@ IdleSlotMeter::IdleSlotMeter(sim::Duration slot, sim::Duration difs)
     throw std::invalid_argument("IdleSlotMeter: difs must be non-negative");
 }
 
-bool IdleSlotMeter::idle_now(sim::Time now) const {
-  return !sensed_busy_ && now >= own_tx_end_;
-}
-
-void IdleSlotMeter::maybe_sample(sim::Time now) {
-  const sim::Time activity_end = std::max(last_activity_end_, own_tx_end_);
-  const sim::Duration ifs = next_gap_ifs_;
-  next_gap_ifs_ = difs_;
-  if (have_prior_activity_) {
-    const sim::Duration gap = now - activity_end;
-    // Gaps shorter than the governing IFS (e.g. the SIFS before an ACK)
-    // belong to the same transmission and are not idle-slot samples.
-    if (gap >= ifs) {
-      const double slots = (gap - ifs) / slot_;
-      last_sample_ = slots;
-      sum_slots_ += slots;
-      ++samples_;
-      if (sample_cb_) sample_cb_(slots);
-    }
-  }
-  have_prior_activity_ = true;
-}
-
-void IdleSlotMeter::on_sensed_busy(sim::Time now) {
-  if (idle_now(now)) maybe_sample(now);
-  sensed_busy_ = true;
-}
-
-void IdleSlotMeter::on_sensed_idle(sim::Time now) {
-  sensed_busy_ = false;
-  last_activity_end_ = std::max(last_activity_end_, now);
-}
-
 void IdleSlotMeter::on_own_tx_start(sim::Time now, sim::Duration airtime) {
   if (idle_now(now)) maybe_sample(now);
   own_tx_end_ = std::max(own_tx_end_, now + airtime);

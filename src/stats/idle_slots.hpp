@@ -17,6 +17,7 @@
 //    period at the observer — which is also what real carrier sensing sees.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 
@@ -28,11 +29,25 @@ class IdleSlotMeter {
  public:
   IdleSlotMeter(sim::Duration slot, sim::Duration difs);
 
+  /// One instant's busy edge seen by a group of meters: members sampling
+  /// the same idle span share one division (same operands, same double).
+  struct SampleMemo {
+    std::int64_t span_ns = -1;
+    std::int64_t slot_ns = 0;
+    double slots = 0.0;
+  };
+
   /// Sensed channel went idle -> busy at `now`.
-  void on_sensed_busy(sim::Time now);
+  void on_sensed_busy(sim::Time now, SampleMemo* memo = nullptr) {
+    if (idle_now(now)) maybe_sample(now, memo);
+    sensed_busy_ = true;
+  }
 
   /// Sensed channel went busy -> idle at `now`.
-  void on_sensed_idle(sim::Time now);
+  void on_sensed_idle(sim::Time now) {
+    sensed_busy_ = false;
+    last_activity_end_ = std::max(last_activity_end_, now);
+  }
 
   /// This radio started transmitting at `now` for `airtime` (radios do not
   /// sense their own transmissions, so this must be reported explicitly).
@@ -57,8 +72,39 @@ class IdleSlotMeter {
   void reset();
 
  private:
-  bool idle_now(sim::Time now) const;
-  void maybe_sample(sim::Time now);
+  bool idle_now(sim::Time now) const {
+    return !sensed_busy_ && now >= own_tx_end_;
+  }
+  void maybe_sample(sim::Time now, SampleMemo* memo = nullptr) {
+    const sim::Time activity_end = std::max(last_activity_end_, own_tx_end_);
+    const sim::Duration ifs = next_gap_ifs_;
+    next_gap_ifs_ = difs_;
+    if (have_prior_activity_) {
+      const sim::Duration gap = now - activity_end;
+      // Gaps shorter than the governing IFS (e.g. the SIFS before an ACK)
+      // belong to the same transmission and are not idle-slot samples.
+      if (gap >= ifs) record(gap - ifs, memo);
+    }
+    have_prior_activity_ = true;
+  }
+  /// Records one sample of `span` idle time (past the governing IFS).
+  void record(sim::Duration span, SampleMemo* memo) {
+    double slots;
+    if (memo == nullptr) {
+      slots = span / slot_;
+    } else {
+      if (memo->span_ns != span.ns() || memo->slot_ns != slot_.ns()) {
+        memo->span_ns = span.ns();
+        memo->slot_ns = slot_.ns();
+        memo->slots = span / slot_;
+      }
+      slots = memo->slots;
+    }
+    last_sample_ = slots;
+    sum_slots_ += slots;
+    ++samples_;
+    if (sample_cb_) sample_cb_(slots);
+  }
 
   sim::Duration slot_;
   sim::Duration difs_;

@@ -476,4 +476,77 @@ TEST(ContentionArbiter, CounterGateHiddenToraPlacement) {
   expect_counter_gate(run, 0.25, "hidden TORA n=20 r=20");
 }
 
+// --- Carrier-sense callback gate --------------------------------------------
+//
+// Host-free counters of phy::Medium: per-node carrier-sense callbacks and
+// domain edges, over 2 simulated seconds after a 2 s warm-up. The
+// per-station path installs no DomainListener, so its count is the
+// per-node cascade's — one callback per node per busy/idle crossing.
+//
+//                               callbacks / started tx
+//   connected wTOP, n = 60          domain path 0.29 (gate <= 4)
+//                                   per-node cascade 93
+//   hidden TORA, n = 20, r = 20     domain path == per-node cascade, 31
+//                                   (no single-domain source)
+
+struct SenseRun {
+  std::uint64_t callbacks = 0;
+  std::uint64_t edges = 0;
+  std::uint64_t tx = 0;
+};
+
+SenseRun run_sense(const ScenarioConfig& scenario, const SchemeConfig& scheme,
+                   int cohort) {
+  PathGuard guard(cohort, 1);
+  auto net = exp::build_network(scenario, scheme);
+  net->start();
+  net->run_for(sim::Duration::seconds(2.0));
+  const phy::Medium& m = net->medium();
+  SenseRun warm{m.sense_callbacks(), m.domain_edges(),
+                m.transmissions_started()};
+  net->run_for(sim::Duration::seconds(2.0));
+  return SenseRun{m.sense_callbacks() - warm.callbacks,
+                  m.domain_edges() - warm.edges,
+                  m.transmissions_started() - warm.tx};
+}
+
+TEST(ContentionArbiter, SenseCallbackGateConnectedWtopCell) {
+  const auto scenario = ScenarioConfig::connected(60, 1);
+  const auto scheme = SchemeConfig::wtop_csma();
+  const SenseRun domain = run_sense(scenario, scheme, 1);
+  const SenseRun cascade = run_sense(scenario, scheme, 0);
+  ASSERT_GT(domain.tx, 0u);
+  EXPECT_EQ(domain.tx, cascade.tx);
+  const double per_tx =
+      static_cast<double>(domain.callbacks) / static_cast<double>(domain.tx);
+  EXPECT_LE(per_tx, 4.0) << "callbacks=" << domain.callbacks
+                         << " tx=" << domain.tx;
+  EXPECT_GT(domain.edges, domain.tx) << "busy and idle edges per frame";
+  EXPECT_EQ(cascade.edges, 0u);
+  EXPECT_GT(static_cast<double>(cascade.callbacks) /
+                static_cast<double>(cascade.tx),
+            50.0);
+}
+
+TEST(ContentionArbiter, SenseCallbackGateHiddenToraPlacement) {
+  const auto scenario = ScenarioConfig::hidden(20, 20.0, 1);
+  const auto scheme = SchemeConfig::tora_csma();
+  const SenseRun domain = run_sense(scenario, scheme, 1);
+  const SenseRun cascade = run_sense(scenario, scheme, 0);
+  ASSERT_GT(domain.tx, 0u);
+  EXPECT_EQ(domain.edges, 0u) << "no single-domain source";
+  EXPECT_EQ(domain.callbacks, cascade.callbacks);
+  EXPECT_GT(domain.callbacks, domain.tx);
+}
+
+TEST(ContentionArbiter, SenseCountersAreExported) {
+  exp::RunOptions opts = series_options(0.2);
+  opts.record_series = false;
+  const exp::RunResult r = exp::run_scenario(ScenarioConfig::connected(10, 1),
+                                             SchemeConfig::wtop_csma(), opts);
+  EXPECT_EQ(r.metrics.get("medium.domains", -1.0), 1.0);
+  EXPECT_GT(r.metrics.get("medium.domain_edges", -1.0), 0.0);
+  EXPECT_GE(r.metrics.get("medium.sense_callbacks", -1.0), 0.0);
+}
+
 }  // namespace

@@ -1,11 +1,16 @@
 // Unit tests for the Medium: carrier sensing, collision resolution per
-// receiver, promiscuous delivery, hidden-node overlap semantics.
+// receiver, promiscuous delivery, hidden-node overlap semantics, and the
+// sensing-domain split with its derived per-node state.
 #include "phy/medium.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
+#include "exp/scenario.hpp"
+#include "mac/network.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -386,6 +391,256 @@ TEST(Medium, ThreeWayCollisionAllCorrupt) {
   ASSERT_EQ(w.ap.received.size(), 2u);
   EXPECT_FALSE(w.ap.received[0].clean);
   EXPECT_FALSE(w.ap.received[1].clean);
+}
+
+// --- Sensing domains --------------------------------------------------------
+
+/// Records every carrier-sense callback, in call order, into a shared log.
+class OrderProbe : public MediumClient {
+ public:
+  OrderProbe(NodeId self, std::vector<std::string>* log)
+      : self_(self), log_(log) {}
+  void on_channel_busy(Time now) override {
+    log_->push_back("busy " + std::to_string(self_) + " @" +
+                    std::to_string(now.ns()));
+  }
+  void on_channel_idle(Time now) override {
+    log_->push_back("idle " + std::to_string(self_) + " @" +
+                    std::to_string(now.ns()));
+  }
+  void on_frame_received(const Frame&, bool, Time) override {}
+
+ private:
+  NodeId self_;
+  std::vector<std::string>* log_;
+};
+
+/// Forwards domain edges to the members' clients — what a DomainListener
+/// promises to be equivalent to — and counts them.
+class ForwardingListener : public DomainListener {
+ public:
+  explicit ForwardingListener(std::vector<OrderProbe>* probes)
+      : probes_(probes) {}
+  void on_domain_busy(std::span<const NodeId> members, NodeId source,
+                      Time now) override {
+    ++edges;
+    for (const NodeId m : members)
+      if (m != source) (*probes_)[static_cast<std::size_t>(m)].on_channel_busy(now);
+  }
+  void on_domain_idle(std::span<const NodeId> members, NodeId source,
+                      Time now) override {
+    ++edges;
+    for (const NodeId m : members)
+      if (m != source) (*probes_)[static_cast<std::size_t>(m)].on_channel_idle(now);
+  }
+  int edges = 0;
+
+ private:
+  std::vector<OrderProbe>* probes_;
+};
+
+/// One transmission of a hand-built schedule (distinct instants, so the
+/// brute-force reference needs no tie rules).
+struct Burst {
+  std::int64_t start_us;
+  NodeId src;
+  std::int64_t airtime_us;
+};
+
+/// Replays `bursts` on a medium over `positions` and checks, after every
+/// start and end, the callback order against the per-node cascade computed
+/// by brute force (recount every node's audible in-flight sources; an edge
+/// fires when that count crosses 0 <-> 1, in ascending node order), plus
+/// sensed_count and the airtime split of every node.
+void expect_cascade_order(const std::vector<Vec2>& positions,
+                          const PropagationModel& prop,
+                          const std::vector<Burst>& bursts, bool listener) {
+  sim::Simulator sim;
+  Medium medium(sim, prop);
+  std::vector<std::string> log;
+  std::vector<OrderProbe> probes;
+  probes.reserve(positions.size());
+  for (std::size_t i = 0; i < positions.size(); ++i)
+    probes.emplace_back(static_cast<NodeId>(i), &log);
+  for (std::size_t i = 0; i < positions.size(); ++i)
+    medium.add_node(positions[i], probes[i]);
+  medium.finalize();
+  ForwardingListener forward(&probes);
+  if (listener) medium.set_domain_listener(&forward);
+
+  // Brute-force reference, stepped at every start and end instant.
+  const std::size_t n = positions.size();
+  struct Step {
+    std::int64_t t_us;
+    NodeId src;
+    bool start;
+  };
+  std::vector<Step> steps;
+  for (const Burst& b : bursts) {
+    steps.push_back({b.start_us, b.src, true});
+    steps.push_back({b.start_us + b.airtime_us, b.src, false});
+  }
+  std::sort(steps.begin(), steps.end(),
+            [](const Step& a, const Step& b) { return a.t_us < b.t_us; });
+  std::vector<int> count(n, 0);
+  std::vector<std::string> expected;
+  for (const Step& st : steps) {
+    for (std::size_t o = 0; o < n; ++o) {
+      if (static_cast<NodeId>(o) == st.src ||
+          !medium.senses(st.src, static_cast<NodeId>(o)))
+        continue;
+      const std::string at = " @" + std::to_string(st.t_us * 1000);
+      if (st.start && ++count[o] == 1)
+        expected.push_back("busy " + std::to_string(o) + at);
+      if (!st.start && --count[o] == 0)
+        expected.push_back("idle " + std::to_string(o) + at);
+    }
+  }
+
+  for (const Burst& b : bursts) {
+    sim.schedule_at(Time::from_ns(b.start_us * 1000), [&medium, b] {
+      Frame f = data_frame(b.src, 0);
+      medium.start_transmission(b.src, f, Duration::microseconds(b.airtime_us));
+    });
+  }
+  // Check the derived per-node state half-way between every two steps:
+  // sensed counts and the busy/idle split against the brute-force
+  // integral of [count > 0].
+  std::vector<int> live(n, 0);
+  std::vector<std::int64_t> busy_ns(n, 0);
+  for (std::size_t k = 0; k + 1 < steps.size(); ++k) {
+    if (k > 0)
+      for (std::size_t o = 0; o < n; ++o)
+        if (live[o] > 0) busy_ns[o] += (steps[k].t_us - steps[k - 1].t_us) * 1000;
+    if (steps[k].start) {
+      for (std::size_t o = 0; o < n; ++o)
+        if (static_cast<NodeId>(o) != steps[k].src &&
+            medium.senses(steps[k].src, static_cast<NodeId>(o)))
+          ++live[o];
+    } else {
+      for (std::size_t o = 0; o < n; ++o)
+        if (static_cast<NodeId>(o) != steps[k].src &&
+            medium.senses(steps[k].src, static_cast<NodeId>(o)))
+          --live[o];
+    }
+    const std::int64_t mid_ns = (steps[k].t_us + steps[k + 1].t_us) * 500;
+    sim.run_until(Time::from_ns(mid_ns));
+    for (std::size_t o = 0; o < n; ++o) {
+      EXPECT_EQ(medium.sensed_count(static_cast<NodeId>(o)), live[o])
+          << "node " << o << " at " << mid_ns;
+      const Medium::NodeAirtime a =
+          medium.node_airtime(static_cast<NodeId>(o), Time::from_ns(mid_ns));
+      EXPECT_EQ(a.busy_ns + a.idle_ns, mid_ns) << "node " << o;
+      const std::int64_t open =
+          live[o] > 0 ? mid_ns - steps[k].t_us * 1000 : 0;
+      EXPECT_EQ(a.busy_ns, busy_ns[o] + open) << "node " << o;
+    }
+  }
+  sim.run_until(Time::from_seconds(1));
+  EXPECT_FALSE(log.empty());
+  EXPECT_EQ(log, expected);
+  if (listener) {
+    EXPECT_EQ(forward.edges, static_cast<int>(medium.domain_edges()));
+  } else {
+    EXPECT_EQ(forward.edges, 0);
+    EXPECT_EQ(medium.sense_callbacks(), expected.size());
+  }
+}
+
+TEST(SensingDomains, ConnectedCellIsOneDomain) {
+  auto net = exp::build_network(exp::ScenarioConfig::connected(20, 1),
+                                exp::SchemeConfig::standard());
+  const Medium& m = net->medium();
+  ASSERT_EQ(m.num_domains(), 1u);
+  EXPECT_EQ(m.domain_members(0).size(), 21u);
+  for (std::size_t s = 0; s < m.num_nodes(); ++s)
+    EXPECT_TRUE(m.single_domain_source(static_cast<NodeId>(s)));
+}
+
+TEST(SensingDomains, MulticellGivesOneDomainPerCell) {
+  for (std::uint64_t seed : {1u, 7u}) {
+    auto net = exp::build_network(exp::ScenarioConfig::multicell(9, 10, 40.0, seed),
+                                  exp::SchemeConfig::standard());
+    const Medium& m = net->medium();
+    ASSERT_EQ(m.num_domains(), 9u) << "seed " << seed;
+    for (std::uint32_t d = 0; d < 9; ++d) {
+      const auto members = m.domain_members(d);
+      EXPECT_EQ(members.size(), 11u) << "seed " << seed << " domain " << d;
+      EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
+      // Each cell's domain holds its AP and its ten stations.
+      for (const NodeId v : members)
+        EXPECT_EQ(net->medium().domain_of(v), d);
+    }
+    for (std::size_t s = 0; s < m.num_nodes(); ++s)
+      EXPECT_TRUE(m.single_domain_source(static_cast<NodeId>(s)));
+  }
+}
+
+TEST(SensingDomains, HiddenPlacementsHaveNoSingleDomainSource) {
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    auto net = exp::build_network(exp::ScenarioConfig::hidden(20, 20.0, seed),
+                                  exp::SchemeConfig::tora_csma());
+    const Medium& m = net->medium();
+    EXPECT_GT(m.num_domains(), 1u);
+    for (std::size_t s = 0; s < m.num_nodes(); ++s)
+      EXPECT_FALSE(m.single_domain_source(static_cast<NodeId>(s)))
+          << "seed " << seed << " source " << s;
+  }
+}
+
+TEST(SensingDomains, SameHearingDifferentDecodingSharesADomain) {
+  // Everyone senses everyone (sense radius 100), but the decode radius 9.5
+  // leaves 0 and 2 unable to decode each other: one domain whose members
+  // decode different sets.
+  DiscPropagation prop(9.5, 100.0);
+  const std::vector<Vec2> pos = {{0, 0}, {1, 0}, {10, 0}};
+  {
+    sim::Simulator sim;
+    Medium medium(sim, prop);
+    Probe p0, p1, p2;
+    medium.add_node(pos[0], p0);
+    medium.add_node(pos[1], p1);
+    medium.add_node(pos[2], p2);
+    medium.finalize();
+    ASSERT_EQ(medium.num_domains(), 1u);
+    EXPECT_TRUE(medium.decodes(1, 0));
+    EXPECT_FALSE(medium.decodes(2, 0));
+    EXPECT_TRUE(medium.decodes(2, 1));
+    for (NodeId s = 0; s < 3; ++s) EXPECT_TRUE(medium.single_domain_source(s));
+  }
+  // Overlaps cross C 0->1->2->1->0 with transmitting members.
+  const std::vector<Burst> bursts = {
+      {10, 0, 100}, {50, 2, 100}, {120, 1, 100}, {400, 1, 50}, {600, 2, 30}};
+  expect_cascade_order(pos, prop, bursts, /*listener=*/false);
+  expect_cascade_order(pos, prop, bursts, /*listener=*/true);
+}
+
+TEST(SensingDomains, SourceHeardByTwoDomainsTakesThePerNodeCascade) {
+  // 0,1 and 3,4 are two pairs out of each other's sense range (20); node 2
+  // in the middle hears all four, so its key differs from both pairs' and
+  // its transmissions reach two domains.
+  DiscPropagation prop(20.0, 20.0);
+  const std::vector<Vec2> pos = {{0, 0}, {1, 0}, {15.5, 0}, {30, 0}, {31, 0}};
+  {
+    sim::Simulator sim;
+    Medium medium(sim, prop);
+    std::vector<Probe> probes(pos.size());
+    for (std::size_t i = 0; i < pos.size(); ++i) medium.add_node(pos[i], probes[i]);
+    medium.finalize();
+    ASSERT_EQ(medium.num_domains(), 3u);
+    EXPECT_EQ(medium.domain_of(0), medium.domain_of(1));
+    EXPECT_EQ(medium.domain_of(3), medium.domain_of(4));
+    EXPECT_NE(medium.domain_of(0), medium.domain_of(3));
+    EXPECT_NE(medium.domain_of(2), medium.domain_of(0));
+    EXPECT_NE(medium.domain_of(2), medium.domain_of(3));
+    EXPECT_FALSE(medium.single_domain_source(2));
+  }
+  const std::vector<Burst> bursts = {{10, 2, 100},  {30, 0, 200},
+                                     {60, 4, 20},   {150, 3, 100},
+                                     {300, 2, 50},  {320, 1, 10},
+                                     {500, 0, 40},  {520, 1, 40}};
+  expect_cascade_order(pos, prop, bursts, /*listener=*/false);
+  expect_cascade_order(pos, prop, bursts, /*listener=*/true);
 }
 
 }  // namespace
