@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "stats/idle_slots.hpp"
+
 namespace wlan::core {
 
 IdleSenseStrategy::IdleSenseStrategy() : IdleSenseStrategy(Options{}) {}
@@ -15,6 +17,11 @@ IdleSenseStrategy::IdleSenseStrategy(const Options& options)
     throw std::invalid_argument("IdleSenseStrategy: alpha outside (0,1)");
   if (options.epsilon <= 0.0)
     throw std::invalid_argument("IdleSenseStrategy: epsilon must be > 0");
+}
+
+void IdleSenseStrategy::watch_idle_slots(stats::IdleSlotMeter& meter) {
+  meter.set_sample_callback(
+      [this](double slots) { on_transmission_observed(slots); });
 }
 
 void IdleSenseStrategy::on_transmission_observed(double idle_slots) {

@@ -36,10 +36,11 @@ class IdleSenseStrategy final : public mac::FixedCwStrategy {
   IdleSenseStrategy();  // default Options
   explicit IdleSenseStrategy(const Options& options);
 
-  /// Fed by the station's IdleSlotMeter with one sample per observed
-  /// transmission.
-  void on_transmission_observed(double idle_slots) override;
-  bool observes_idle_slots() const override { return true; }
+  /// Feeds on_transmission_observed from the station's meter.
+  void watch_idle_slots(stats::IdleSlotMeter& meter) override;
+  /// One busy period was observed on the channel preceded by `idle_slots`
+  /// idle slots.
+  void on_transmission_observed(double idle_slots);
 
   std::string name() const override { return "IdleSense"; }
 

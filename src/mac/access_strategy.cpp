@@ -9,7 +9,7 @@ namespace wlan::mac {
 void AccessStrategy::apply_params(const phy::ControlParams&, bool,
                                   util::Rng&) {}
 
-void AccessStrategy::on_transmission_observed(double) {}
+void AccessStrategy::watch_idle_slots(stats::IdleSlotMeter&) {}
 
 // ---------------------------------------------------------------- wTOP node
 

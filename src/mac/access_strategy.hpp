@@ -18,6 +18,10 @@
 #include "phy/frame.hpp"
 #include "util/rng.hpp"
 
+namespace wlan::stats {
+class IdleSlotMeter;
+}
+
 namespace wlan::mac {
 
 class AccessStrategy {
@@ -41,12 +45,11 @@ class AccessStrategy {
   virtual void apply_params(const phy::ControlParams& params, bool own_ack,
                             util::Rng& rng);
 
-  /// One busy period was observed on the channel preceded by `idle_slots`
-  /// idle slots (IdleSense's measurement hook; default ignores it).
-  virtual void on_transmission_observed(double idle_slots);
-  /// True when on_transmission_observed does something; the station only
-  /// forwards its idle-slot samples then.
-  virtual bool observes_idle_slots() const { return false; }
+  /// Hooks the strategy to its station's idle-slot meter, which samples
+  /// the idle slots before every observed busy period. The default
+  /// observes nothing (no sample callback is installed); IdleSense
+  /// installs its measurement hook here.
+  virtual void watch_idle_slots(stats::IdleSlotMeter& meter);
 
   /// Batched-backoff support (mac::Station pre-draws a run of slot
   /// decisions at backoff entry and schedules a single decision event).

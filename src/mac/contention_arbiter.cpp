@@ -5,7 +5,6 @@
 
 #include "mac/station.hpp"
 #include "obs/trace.hpp"
-#include "traffic/source.hpp"
 
 namespace wlan::mac {
 
@@ -56,29 +55,12 @@ void ContentionArbiter::release(std::vector<std::unique_ptr<C>>& active,
   active.pop_back();
 }
 
-void ContentionArbiter::add_member(ArbiterCohort& cohort, Station& station) {
-  assert(station.cohort_ == nullptr && "station already in a cohort");
-  station.cohort_ = &cohort;
-  station.cohort_slot_ = cohort.members.size();
-  cohort.members.push_back(&station);
-  ++cohort.live;
-}
-
-ContentionArbiter::WaitCohort& ContentionArbiter::join_wait(
+ContentionArbiter::WaitCohort& ContentionArbiter::form_wait(
     std::vector<std::unique_ptr<WaitCohort>>& active,
     ArbiterCohort::Phase phase, Station& station, sim::Time expires) {
-  const sim::Time now = sim_.now();
-  // Same instant + same expiry = the same per-station event key; join
-  // order is exactly the seq order the members' own timers would have had.
-  for (auto& c : active) {
-    if (c->joined_at == now && c->expires_at == expires) {
-      add_member(*c, station);
-      return *c;
-    }
-  }
   WaitCohort& cohort = acquire(active, wait_pool_);
   cohort.phase = phase;
-  cohort.joined_at = now;
+  cohort.joined_at = sim_.now();
   cohort.expires_at = expires;
   add_member(cohort, station);
   WaitCohort* raw = &cohort;
@@ -94,48 +76,7 @@ ContentionArbiter::WaitCohort& ContentionArbiter::join_wait(
   return cohort;
 }
 
-void ContentionArbiter::park(Station& station, sim::Time until) {
-  ++stats_.nav_parks;
-  const WaitCohort& c =
-      join_wait(nav_, ArbiterCohort::Phase::kNav, station, until);
-  if (c.members.size() == 1) ++stats_.nav_cohorts;
-  WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kNavPark, station.id(),
-                 (until - sim_.now()).ns(), c.members.size());
-}
-
-void ContentionArbiter::enroll(Station& station, sim::Duration ifs) {
-  ++stats_.enrollments;
-  const WaitCohort& c = join_wait(pending_, ArbiterCohort::Phase::kIfs,
-                                  station, sim_.now() + ifs);
-  if (c.members.size() == 1) {
-    ++stats_.cohorts_formed;
-    WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kCohortFormed,
-                   station.id(), ifs.ns(), stats_.cohorts_formed);
-  } else {
-    WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kEnroll, station.id(),
-                   ifs.ns(), c.members.size());
-  }
-}
-
-void ContentionArbiter::withdraw(Station& station) {
-  ArbiterCohort* c = station.cohort_;
-  assert(c != nullptr && "withdraw: station is not in any cohort");
-  assert(c->members[station.cohort_slot_] == &station);
-  c->members[station.cohort_slot_] = nullptr;  // tombstone
-  --c->live;
-  station.cohort_ = nullptr;
-  if (c->phase == ArbiterCohort::Phase::kNav) {
-    ++stats_.nav_withdrawals;
-  } else {
-    ++stats_.withdrawals;
-  }
-  if (c->phase == ArbiterCohort::Phase::kBackoff && station.batch_transmit_)
-    --static_cast<BackoffCohort*>(c)->committers;
-  WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kWithdraw, station.id(),
-                 c->live, static_cast<std::uint64_t>(c->phase));
-  // Survivors stay on the armed event: a wait's expiry is theirs too, and
-  // a backoff row whose transmitters all left just continues the rows.
-  if (c->live != 0) return;
+void ContentionArbiter::retire(ArbiterCohort* c) {
   sim_.cancel(c->event);
   switch (c->phase) {
     case ArbiterCohort::Phase::kNav:
@@ -147,107 +88,6 @@ void ContentionArbiter::withdraw(Station& station) {
     case ArbiterCohort::Phase::kBackoff:
       release(backoff_, backoff_pool_, static_cast<BackoffCohort*>(c));
       break;
-  }
-}
-
-void ContentionArbiter::bind_stations(Station* stations,
-                                      phy::NodeId first_id,
-                                      const WifiParams& params) {
-  stations_ = stations;
-  first_station_ = first_id;
-  difs_ = params.difs;
-  eifs_ = params.eifs();
-}
-
-void ContentionArbiter::freeze(std::span<const phy::NodeId> members,
-                               phy::NodeId source, sim::Time now,
-                               bool slot_committed) {
-  using State = Station::State;
-  if (sim_.obs() != nullptr) {
-    // Traced or flight-recorded runs: the per-station callback, which
-    // emits every state-change record.
-    for (const phy::NodeId m : members)
-      if (m != source) stations_[m - first_station_].on_channel_busy(now);
-    return;
-  }
-  // Station::on_channel_busy for each member in ascending id order: the
-  // backoff rewind comes before the idle-meter sample (IdleSense's order),
-  // every cohort member leaves its cohort in O(1), and members sampling
-  // the same idle span share one division.
-  stats::IdleSlotMeter::SampleMemo memo;
-  for (const phy::NodeId m : members) {
-    if (m == source) continue;
-    Station& s = stations_[m - first_station_];
-    switch (s.state_) {
-      case State::kBackoff:
-        if (s.batch_planned_ != 0) s.rollback_backoff(slot_committed);
-        s.idle_meter_.on_sensed_busy(now, &memo);
-        withdraw(s);
-        s.set_state(State::kIdleWait);
-        break;
-      case State::kDifsWait:
-        s.idle_meter_.on_sensed_busy(now, &memo);
-        withdraw(s);
-        s.set_state(State::kIdleWait);
-        break;
-      case State::kIdleWait:
-        s.idle_meter_.on_sensed_busy(now, &memo);
-        if (s.cohort_ != nullptr) withdraw(s);  // parked on a NAV cohort
-        break;
-      default:
-        s.idle_meter_.on_sensed_busy(now, &memo);
-        break;
-    }
-  }
-}
-
-void ContentionArbiter::resume(std::span<const phy::NodeId> members,
-                               phy::NodeId source, sim::Time now) {
-  using State = Station::State;
-  if (sim_.obs() != nullptr) {
-    for (const phy::NodeId m : members)
-      if (m != source) stations_[m - first_station_].on_channel_idle(now);
-    return;
-  }
-  // Station::on_channel_idle for each member in ascending id order, so
-  // each NAV/IFS cohort the waiting members form has the per-node
-  // cascade's join order (and is created at the same member). A member
-  // bound for the cohort the previous one joined appends without a search.
-  WaitCohort* nav = nullptr;
-  WaitCohort* ifs = nullptr;
-  for (const phy::NodeId m : members) {
-    if (m == source) continue;
-    Station& s = stations_[m - first_station_];
-    s.idle_meter_.on_sensed_idle(now);
-    if (s.state_ != State::kIdleWait) continue;
-    // Station::resume_contention, untraced: a station that stays in
-    // kIdleWait needs no state write. The domain count is 0, so no member
-    // senses the medium busy.
-    assert(!s.medium_.is_busy_for(s.self_));
-    if (!s.active_) {
-      s.set_state(State::kInactive);
-    } else if (s.traffic_ != nullptr && !s.traffic_->has_data()) {
-      s.set_state(State::kNoData);
-    } else if (now < s.nav_until_) {
-      if (nav != nullptr && nav->expires_at == s.nav_until_) {
-        ++stats_.nav_parks;
-        add_member(*nav, s);
-      } else {
-        park(s, s.nav_until_);
-        nav = static_cast<WaitCohort*>(s.cohort_);
-      }
-    } else {
-      s.set_state(State::kDifsWait);
-      const sim::Duration wait = s.eifs_pending_ ? eifs_ : difs_;
-      s.eifs_pending_ = false;
-      if (ifs != nullptr && ifs->expires_at == now + wait) {
-        ++stats_.enrollments;
-        add_member(*ifs, s);
-      } else {
-        enroll(s, wait);
-        ifs = static_cast<WaitCohort*>(s.cohort_);
-      }
-    }
   }
 }
 

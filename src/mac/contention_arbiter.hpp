@@ -96,44 +96,36 @@
 // Domain edges. phy::Medium groups nodes into sensing domains (nodes with
 // the same heard-from set plus self; see medium.hpp) and reports a busy or
 // idle edge of a single-domain source once per domain instead of once per
-// member. mac::Network hands the domain's stations to freeze() / resume(),
-// which do exactly what Station::on_channel_busy / on_channel_idle would
-// do for each member, in one pass in ascending id order: members leave
-// their cohorts in O(1), waiting members join the NAV or IFS cohort the
-// previous member joined without a search, and the busy edge's idle-slot
-// sample is divided once for every member whose idle span is the same.
-// The per-node order matters only where members meet — the cohorts they
-// join — and ascending id is the order the per-node cascade used, so
-// join order, cohort creation and event seqs are unchanged. A member's
-// sensed count is its domain's count minus its own transmission (exact:
-// every member hears every source its domain counts), so the one edge is
-// every member's edge. Fully connected cells and ESS cells take this
-// path; hidden-node placements have no single-domain source and keep the
-// per-node callbacks. Traced and flight-recorded runs call the stations'
-// own callbacks instead, so every state change and contention span is
-// recorded; the traced-vs-untraced identity tests (tests/test_obs.cpp)
-// and CI's traced/flight `cmp` gates therefore also compare the one-pass
-// loops against the callbacks they stand in for.
+// member. On the cohort path mac::Network receives that edge and runs
+// each member's own channel handler in ascending id order — the order of
+// the per-node cascade, so the members leave and join this arbiter's
+// cohorts in the same order, with the same event seqs. An idle edge's
+// members pass a JoinHint (the NAV or IFS cohort the previous member
+// joined) to park() / enroll(), which a member with the same key appends
+// to without a search; join and withdraw are inline below for the same
+// reason. The edge is every member's edge because a member's sensed count
+// is its domain's count minus its own transmission (exact: every member
+// hears every source its domain counts). Fully connected cells and ESS
+// cells take this path; hidden-node placements keep the per-node
+// callbacks.
 //
 // Enabled per-Network via mac::Station::cohort_enabled() (WLAN_COHORT,
 // default on, requires batched backoff); the per-station path remains and
 // is byte-compared in CI.
 #pragma once
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
-#include "mac/wifi_params.hpp"
-#include "phy/frame.hpp"
+#include "mac/station.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace wlan::mac {
-
-class Station;
 
 /// Membership bookkeeping shared by the arbiter's three cohort kinds. A
 /// station belongs to at most one cohort at a time and holds a pointer to
@@ -159,37 +151,22 @@ class ContentionArbiter {
 
   /// Takes over the station's NAV-expiry timer: the station (idle medium,
   /// kIdleWait on its NAV) joins the cohort keyed (now, until), creating
-  /// it — and its single expiry event — on first membership.
-  void park(Station& station, sim::Time until);
+  /// it — and its single expiry event — on first membership. `hint`
+  /// (one idle domain edge's members) names the NAV cohort the previous
+  /// member joined, which a member with the same key appends to directly.
+  void park(Station& station, sim::Time until, JoinHint* hint = nullptr);
 
   /// Takes over the station's DIFS/EIFS timer: the station (currently in
   /// its DifsWait state) joins the cohort keyed (now, ifs), creating it —
-  /// and its single expiry event — on first membership.
-  void enroll(Station& station, sim::Duration ifs);
+  /// and its single expiry event — on first membership. `hint` as for
+  /// park(), for the IFS cohort.
+  void enroll(Station& station, sim::Duration ifs, JoinHint* hint = nullptr);
 
   /// Removes the station from the cohort holding it (busy edge or
   /// deactivation; a backoff member has already rewound its draws). O(1):
   /// the slot becomes a tombstone, and the cohort's event is cancelled
   /// only when its last member leaves.
   void withdraw(Station& station);
-
-  /// Domain edges (mac::Network is the medium's phy::DomainListener).
-  /// Node id `first_id + i` is stations[i].
-  void bind_stations(Station* stations, phy::NodeId first_id,
-                     const WifiParams& params);
-  /// A busy domain edge: exactly Station::on_channel_busy for every
-  /// station in `members` (ascending ids) except `source`, in one pass —
-  /// backoff and IFS members leave their cohorts, NAV-parked members leave
-  /// theirs, and members sampling the same idle span share one division.
-  void freeze(std::span<const phy::NodeId> members, phy::NodeId source,
-              sim::Time now, bool slot_committed);
-  /// An idle domain edge: exactly Station::on_channel_idle for every
-  /// station in `members` except `source`. Waiting members resume in
-  /// ascending id order, so each NAV or IFS cohort they form keeps the
-  /// join order of the per-node cascade; a member bound for the cohort
-  /// the previous one joined appends without a search.
-  void resume(std::span<const phy::NodeId> members, phy::NodeId source,
-              sim::Time now);
 
   /// Lifetime counters for tests and benchmarks.
   struct Stats {
@@ -231,9 +208,18 @@ class ContentionArbiter {
 
   /// Joins `station` to the NAV or IFS cohort keyed (now, expires),
   /// forming it (one event at `expires`) on first membership.
+  /// `hinted` is the cohort the previous member of the same domain edge
+  /// joined in this phase (or nullptr): the one a search would find when
+  /// the keys match, since a key names at most one active cohort.
   WaitCohort& join_wait(std::vector<std::unique_ptr<WaitCohort>>& active,
                         ArbiterCohort::Phase phase, Station& station,
+                        sim::Time expires, ArbiterCohort*& hinted);
+  /// join_wait's first membership: a new cohort and its event.
+  WaitCohort& form_wait(std::vector<std::unique_ptr<WaitCohort>>& active,
+                        ArbiterCohort::Phase phase, Station& station,
                         sim::Time expires);
+  /// withdraw's last member: cancels the cohort's event and pools it.
+  void retire(ArbiterCohort* cohort);
   void nav_expired(WaitCohort* cohort);
   void pending_expired(WaitCohort* cohort);
   /// The armed row's event: draws the rows of a lazy cohort first, then
@@ -261,10 +247,6 @@ class ContentionArbiter {
 
   sim::Simulator& sim_;
   sim::Duration slot_;
-  Station* stations_ = nullptr;  // domain edges: node id -> station
-  phy::NodeId first_station_ = 0;
-  sim::Duration difs_;
-  sim::Duration eifs_;
   std::vector<std::unique_ptr<WaitCohort>> nav_;
   std::vector<std::unique_ptr<WaitCohort>> pending_;
   std::vector<std::unique_ptr<BackoffCohort>> backoff_;
@@ -275,5 +257,93 @@ class ContentionArbiter {
   std::uint64_t next_backoff_id_ = 0;  // BackoffCohort::id source
   Stats stats_;
 };
+
+// Joining and leaving run for every member on every busy or idle domain
+// edge, so their common case is inline here, where Station's handlers
+// see it; forming and retiring a cohort stay out of line.
+
+inline void ContentionArbiter::add_member(ArbiterCohort& cohort,
+                                          Station& station) {
+  assert(station.cohort_ == nullptr && "station already in a cohort");
+  station.cohort_ = &cohort;
+  station.cohort_slot_ = cohort.members.size();
+  cohort.members.push_back(&station);
+  ++cohort.live;
+}
+
+inline ContentionArbiter::WaitCohort& ContentionArbiter::join_wait(
+    std::vector<std::unique_ptr<WaitCohort>>& active,
+    ArbiterCohort::Phase phase, Station& station, sim::Time expires,
+    ArbiterCohort*& hinted) {
+  const sim::Time now = sim_.now();
+  // Same instant + same expiry = the same per-station event key; join
+  // order is exactly the seq order the members' own timers would have had.
+  auto* h = static_cast<WaitCohort*>(hinted);
+  if (h != nullptr && h->joined_at == now && h->expires_at == expires) {
+    add_member(*h, station);
+    return *h;
+  }
+  for (auto& c : active) {
+    if (c->joined_at == now && c->expires_at == expires) {
+      add_member(*c, station);
+      hinted = c.get();
+      return *c;
+    }
+  }
+  WaitCohort& formed = form_wait(active, phase, station, expires);
+  hinted = &formed;
+  return formed;
+}
+
+inline void ContentionArbiter::park(Station& station, sim::Time until,
+                                    JoinHint* hint) {
+  ++stats_.nav_parks;
+  ArbiterCohort* none = nullptr;
+  const WaitCohort& c =
+      join_wait(nav_, ArbiterCohort::Phase::kNav, station, until,
+                hint != nullptr ? hint->nav : none);
+  if (c.members.size() == 1) ++stats_.nav_cohorts;
+  WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kNavPark, station.id(),
+                 (until - sim_.now()).ns(), c.members.size());
+}
+
+inline void ContentionArbiter::enroll(Station& station, sim::Duration ifs,
+                                      JoinHint* hint) {
+  ++stats_.enrollments;
+  ArbiterCohort* none = nullptr;
+  const WaitCohort& c =
+      join_wait(pending_, ArbiterCohort::Phase::kIfs, station,
+                sim_.now() + ifs, hint != nullptr ? hint->ifs : none);
+  if (c.members.size() == 1) {
+    ++stats_.cohorts_formed;
+    WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kCohortFormed,
+                   station.id(), ifs.ns(), stats_.cohorts_formed);
+  } else {
+    WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kEnroll, station.id(),
+                   ifs.ns(), c.members.size());
+  }
+}
+
+inline void ContentionArbiter::withdraw(Station& station) {
+  ArbiterCohort* c = station.cohort_;
+  assert(c != nullptr && "withdraw: station is not in any cohort");
+  assert(c->members[station.cohort_slot_] == &station);
+  c->members[station.cohort_slot_] = nullptr;  // tombstone
+  --c->live;
+  station.cohort_ = nullptr;
+  if (c->phase == ArbiterCohort::Phase::kNav) {
+    ++stats_.nav_withdrawals;
+  } else {
+    ++stats_.withdrawals;
+  }
+  if (c->phase == ArbiterCohort::Phase::kBackoff && station.batch_transmit_)
+    --static_cast<BackoffCohort*>(c)->committers;
+  WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kWithdraw, station.id(),
+                 c->live, static_cast<std::uint64_t>(c->phase));
+  // Survivors stay on the armed event: a wait's expiry is theirs too, and
+  // a backoff row whose transmitters all left just continues the rows.
+  if (c->live != 0) return;
+  retire(c);
+}
 
 }  // namespace wlan::mac

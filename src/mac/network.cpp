@@ -121,7 +121,6 @@ void Network::finalize() {
     arbiter_ = std::make_unique<ContentionArbiter>(sim_, params_.slot);
     for (std::size_t i = 0; i < num_built_; ++i)
       stations_[i].set_contention_arbiter(arbiter_.get());
-    arbiter_->bind_stations(stations_, num_aps_id, params_);
     medium_.set_domain_listener(this);
   }
   if (!traffic_config_.saturated()) {
@@ -157,9 +156,9 @@ std::size_t Network::total_queued() const {
   return total;
 }
 
-// Domain edges: the APs (the lowest ids, so the front of the ascending
-// member list) see the edge on their idle meters; the stations go to the
-// arbiter as one group.
+// Domain edges: every member but the source gets its own handler, in
+// ascending id order (the per-node cascade's order). The APs hold the
+// lowest ids, so they lead the member list; the stations follow.
 void Network::on_domain_busy(std::span<const phy::NodeId> members,
                              phy::NodeId source, sim::Time now) {
   const auto num_aps_id = static_cast<phy::NodeId>(aps_.size());
@@ -167,8 +166,8 @@ void Network::on_domain_busy(std::span<const phy::NodeId> members,
   for (; k < members.size() && members[k] < num_aps_id; ++k)
     if (members[k] != source)
       aps_[static_cast<std::size_t>(members[k])]->on_channel_busy(now);
-  arbiter_->freeze(members.subspan(k), source, now,
-                   medium_.last_start_slot_committed());
+  Station::on_domain_busy(stations_, num_aps_id, members.subspan(k), source,
+                          now);
 }
 
 void Network::on_domain_idle(std::span<const phy::NodeId> members,
@@ -178,7 +177,8 @@ void Network::on_domain_idle(std::span<const phy::NodeId> members,
   for (; k < members.size() && members[k] < num_aps_id; ++k)
     if (members[k] != source)
       aps_[static_cast<std::size_t>(members[k])]->on_channel_idle(now);
-  arbiter_->resume(members.subspan(k), source, now);
+  Station::on_domain_idle(stations_, num_aps_id, members.subspan(k), source,
+                          now);
 }
 
 void Network::run_for(sim::Duration d) { run_until(sim_.now() + d); }

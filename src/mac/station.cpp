@@ -57,13 +57,12 @@ Station::Station(sim::Simulator& simulator, phy::Medium& medium,
     : sim_(simulator),
       medium_(medium),
       params_(params),
+      eifs_(params.eifs()),
       strategy_(std::move(strategy)),
       rng_(rng),
       idle_meter_(params.slot, params.difs) {
   assert(strategy_ != nullptr);
-  if (strategy_->observes_idle_slots())
-    idle_meter_.set_sample_callback(
-        [this](double slots) { strategy_->on_transmission_observed(slots); });
+  strategy_->watch_idle_slots(idle_meter_);
 }
 
 void Station::attach(phy::NodeId self, phy::NodeId ap,
@@ -118,7 +117,7 @@ void Station::set_active(bool active) {
   }
 }
 
-void Station::resume_contention() {
+void Station::resume_contention(JoinHint* hint) {
   if (!active_) {
     set_state(State::kInactive);
     return;
@@ -138,34 +137,42 @@ void Station::resume_contention() {
     if (arbiter_ != nullptr) {
       // Cohort path: one expiry event per cohort of stations parking on
       // the same NAV end at this instant.
-      arbiter_->park(*this, nav_until_);
+      arbiter_->park(*this, nav_until_, hint);
       return;
     }
-    sim_.cancel(nav_event_);
-    nav_event_ = sim_.schedule_at(nav_until_, [this] { nav_expired(); });
+    arm_nav_timer();
     return;
   }
-  begin_ifs_wait(now);
+  begin_ifs_wait(hint);
+}
+
+void Station::arm_nav_timer() {
+  sim_.cancel(nav_event_);
+  nav_event_ = sim_.schedule_at(nav_until_, [this] { nav_expired(); });
 }
 
 void Station::nav_expired() {
   if (state_ == State::kIdleWait) resume_contention();
 }
 
-void Station::begin_ifs_wait(sim::Time) {
+void Station::begin_ifs_wait(JoinHint* hint) {
   set_state(State::kDifsWait);
   // First entry per frame opens the contention span (re-entries after busy
   // interruptions are no-ops inside the recorder).
   WLAN_OBS_FLIGHT(sim_, on_contention(sim_.now().ns(), self_, audit_consumed_));
   // EIFS after an undecodable busy period, DIFS otherwise (802.11 9.3.2.3.7).
-  const sim::Duration wait = eifs_pending_ ? params_.eifs() : params_.difs;
+  const sim::Duration wait = eifs_pending_ ? eifs_ : params_.difs;
   eifs_pending_ = false;
   if (arbiter_ != nullptr) {
     // Cohort path: the arbiter owns the wait timer (one event per cohort
     // of stations entering the same wait at this instant).
-    arbiter_->enroll(*this, wait);
+    arbiter_->enroll(*this, wait, hint);
     return;
   }
+  arm_ifs_timer(wait);
+}
+
+void Station::arm_ifs_timer(sim::Duration wait) {
   difs_event_ = sim_.schedule_after(wait, [this] {
     set_state(State::kBackoff);
     if (batching_enabled()) {
@@ -309,20 +316,10 @@ void Station::rollback_backoff(bool boundary_draw_counts) {
   // are scheduled at the same instant they start; ACK/CTS/beacon starts
   // were scheduled at least a SIFS — more than a slot — earlier and fire
   // first, cancelling the boundary). Rewind and replay exactly that many.
-  auto boundaries = [&] {
-    const std::int64_t elapsed = (sim_.now() - backoff_origin_).ns();
-    const std::int64_t slot_ns = params_.slot.ns();
-    std::int64_t n = elapsed / slot_ns;
-    if (n > 0 && elapsed % slot_ns == 0 && !boundary_draw_counts) --n;
-    return n;
-  };
-  // Nothing drawn (the cohort path's lazy rows): no boundary can have
-  // passed either, so there is nothing to count or rewind.
-  if (batch_planned_ == 0) {
-    assert(boundaries() == 0);
-    return;
-  }
-  const std::int64_t replay = boundaries();
+  const std::int64_t elapsed = (sim_.now() - backoff_origin_).ns();
+  const std::int64_t slot_ns = params_.slot.ns();
+  std::int64_t replay = elapsed / slot_ns;
+  if (replay > 0 && elapsed % slot_ns == 0 && !boundary_draw_counts) --replay;
   assert(replay <= batch_planned_);
   audit_consumed_ += static_cast<std::uint64_t>(replay);
   // Nothing drawn ahead (the cohort path's lazy rows): the RNG and
@@ -416,15 +413,20 @@ void Station::finish_exchange() {
   resume_contention();
 }
 
-void Station::on_channel_busy(sim::Time now) {
+void Station::on_channel_busy(sim::Time now) { channel_busy(now, nullptr); }
+
+void Station::on_channel_idle(sim::Time now) { channel_idle(now, nullptr); }
+
+void Station::channel_busy(sim::Time now,
+                           stats::IdleSlotMeter::SampleMemo* memo) {
   // Rewind the backoff batch BEFORE the idle-meter sample: the replayed
   // draws belong to boundaries that preceded this transition, while the
   // meter's sample callback (IdleSense's on_transmission_observed) fires
   // at it — the per-slot scheme's exact order.
-  if (state_ == State::kBackoff &&
-      (arbiter_ != nullptr || batching_enabled()))
+  // (A cohort member with nothing drawn has nothing to rewind.)
+  if (state_ == State::kBackoff && batch_planned_ != 0 && batching_enabled())
     rollback_backoff(medium_.last_start_slot_committed());
-  idle_meter_.on_sensed_busy(now);
+  idle_meter_.on_sensed_busy(now, memo);
   switch (state_) {
     case State::kDifsWait:
       if (arbiter_ != nullptr)
@@ -444,7 +446,7 @@ void Station::on_channel_busy(sim::Time now) {
       // Re-established at the next idle.
       if (cohort_ != nullptr) {
         arbiter_->withdraw(*this);  // parked on a NAV cohort
-      } else {
+      } else if (nav_event_.valid()) {
         sim_.cancel(nav_event_);
       }
       break;
@@ -457,9 +459,28 @@ void Station::on_channel_busy(sim::Time now) {
   }
 }
 
-void Station::on_channel_idle(sim::Time now) {
+void Station::channel_idle(sim::Time now, JoinHint* hint) {
   idle_meter_.on_sensed_idle(now);
-  if (state_ == State::kIdleWait) resume_contention();
+  if (state_ == State::kIdleWait) resume_contention(hint);
+}
+
+// flatten: the member handlers, and the arbiter's inline join/withdraw
+// paths beneath them, are inlined into these loops (one body, the same the
+// virtual callbacks run; only the loop around it differs).
+[[gnu::flatten]] void Station::on_domain_busy(
+    Station* stations, phy::NodeId first_id,
+    std::span<const phy::NodeId> members, phy::NodeId source, sim::Time now) {
+  stats::IdleSlotMeter::SampleMemo memo;
+  for (const phy::NodeId m : members)
+    if (m != source) stations[m - first_id].channel_busy(now, &memo);
+}
+
+[[gnu::flatten]] void Station::on_domain_idle(
+    Station* stations, phy::NodeId first_id,
+    std::span<const phy::NodeId> members, phy::NodeId source, sim::Time now) {
+  JoinHint hint;
+  for (const phy::NodeId m : members)
+    if (m != source) stations[m - first_id].channel_idle(now, &hint);
 }
 
 void Station::observe_nav(const phy::Frame& frame, sim::Time now) {
@@ -480,7 +501,7 @@ void Station::on_frame_received(const phy::Frame& frame, bool clean,
         state_ != State::kWaitAck)
       eifs_pending_ = true;
     // Either way the following idle gap is EIFS-governed for measurement.
-    idle_meter_.set_next_gap_ifs(params_.eifs());
+    idle_meter_.set_next_gap_ifs(eifs_);
     return;
   }
 

@@ -56,6 +56,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 
 #include "mac/access_strategy.hpp"
 #include "mac/wifi_params.hpp"
@@ -74,6 +75,13 @@ namespace wlan::mac {
 
 class ContentionArbiter;
 struct ArbiterCohort;
+
+/// The NAV and IFS cohorts the previous member of one idle domain edge
+/// joined: a member bound for the same one appends without a search.
+struct JoinHint {
+  ArbiterCohort* nav = nullptr;
+  ArbiterCohort* ifs = nullptr;
+};
 
 class Station final : public phy::MediumClient {
  public:
@@ -120,6 +128,18 @@ class Station final : public phy::MediumClient {
   void on_channel_idle(sim::Time now) override;
   void on_frame_received(const phy::Frame& frame, bool clean,
                          sim::Time now) override;
+
+  /// A domain edge (phy::DomainListener, see mac::Network): the handler
+  /// above for every station in `members` except `source`, in the given
+  /// ascending order. Node id `first_id + i` is stations[i]. The members
+  /// share one SampleMemo (busy) or JoinHint (idle), and the handlers are
+  /// inlined into the loop.
+  static void on_domain_busy(Station* stations, phy::NodeId first_id,
+                             std::span<const phy::NodeId> members,
+                             phy::NodeId source, sim::Time now);
+  static void on_domain_idle(Station* stations, phy::NodeId first_id,
+                             std::span<const phy::NodeId> members,
+                             phy::NodeId source, sim::Time now);
 
   /// Slot decisions pre-drawn per batch; a run with no "transmit" answer
   /// re-batches from the capped boundary. The cap is a pure performance
@@ -193,10 +213,19 @@ class Station final : public phy::MediumClient {
     state_ = next;
   }
 
-  void resume_contention();
+  // resume_contention and begin_ifs_wait run for every waiting member on
+  // every idle domain edge; the per-station path's timers are armed out
+  // of line.
+  /// The channel handlers; `memo` / `hint` are shared by the members of
+  /// one domain edge, nullptr for a lone callback.
+  void channel_busy(sim::Time now, stats::IdleSlotMeter::SampleMemo* memo);
+  void channel_idle(sim::Time now, JoinHint* hint);
+  void resume_contention(JoinHint* hint = nullptr);
   /// NAV-expiry timer body: re-check the channel if still waiting on it.
   void nav_expired();
-  void begin_ifs_wait(sim::Time now);
+  void arm_nav_timer();
+  void begin_ifs_wait(JoinHint* hint);
+  void arm_ifs_timer(sim::Duration wait);
   /// Starts a decision batch. `fresh` is true on backoff entry (from the
   /// DIFS/EIFS expiry) and false when a capped batch continues — the
   /// continuation keeps the entry's ordering anchor.
@@ -233,6 +262,7 @@ class Station final : public phy::MediumClient {
   sim::Simulator& sim_;
   phy::Medium& medium_;
   WifiParams params_;
+  sim::Duration eifs_;  // params_.eifs(), read on every EIFS-governed wait
   std::unique_ptr<AccessStrategy> strategy_;
   util::Rng rng_;
 

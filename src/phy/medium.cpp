@@ -254,13 +254,12 @@ void Medium::finalize() {
 
   build_domains();
   airtime_epoch_ = sim_.now();
-  const std::size_t d = num_domains();
-  carrier_.assign(d, 0);
-  member_tx_n_.assign(d, 0);
-  member_tx_xor_.assign(d, 0);
-  dom_busy_ns_.assign(d, 0);
-  dom_idle_ns_.assign(d, 0);
-  dom_last_change_.assign(d, airtime_epoch_);
+  const std::size_t c = carrier_.size();
+  member_tx_n_.assign(c, 0);
+  member_tx_xor_.assign(c, 0);
+  busy_ns_.assign(c, 0);
+  idle_ns_.assign(c, 0);
+  last_change_.assign(c, airtime_epoch_);
   own_counted_.assign(n, 0);
   solo_ns_.assign(n, 0);
   solo_since_.assign(n, airtime_epoch_);
@@ -320,47 +319,54 @@ void Medium::build_domains() {
       dom_ids_[cur[domain_of_[m]]++] = static_cast<NodeId>(m);
   }
 
-  // Single-domain sources, and the domain lists of the others.
-  single_.assign(n, 0);
-  src_dom_off_.assign(n + 1, 0);
-  src_dom_ids_.clear();
-  std::vector<std::uint32_t> stamp(nd, UINT32_MAX);
+  // A source heard outside its own domain opens its domain and every
+  // domain it reaches. Closed domains share one count; every node of an
+  // open domain gets its own.
+  std::vector<std::uint8_t> open(nd, 0);
   for (std::size_t s = 0; s < n; ++s) {
-    const std::uint32_t own = domain_of_[s];
-    bool single = true;
+    if (single_domain_source(static_cast<NodeId>(s))) continue;
+    open[domain_of_[s]] = 1;
     for (std::uint32_t k = aud_off_[s]; k < aud_off_[s + 1]; ++k)
-      if (domain_of_[static_cast<std::size_t>(aud_ids_[k])] != own) {
-        single = false;
-        break;
-      }
-    single_[s] = single ? 1 : 0;
-    if (!single) {
-      stamp[own] = static_cast<std::uint32_t>(s);
-      src_dom_ids_.push_back(own);
-      for (std::uint32_t k = aud_off_[s]; k < aud_off_[s + 1]; ++k) {
-        const std::uint32_t d = domain_of_[static_cast<std::size_t>(aud_ids_[k])];
-        if (stamp[d] == s) continue;
-        stamp[d] = static_cast<std::uint32_t>(s);
-        src_dom_ids_.push_back(d);
-      }
-    }
-    src_dom_off_[s + 1] = static_cast<std::uint32_t>(src_dom_ids_.size());
+      open[domain_of_[static_cast<std::size_t>(aud_ids_[k])]] = 1;
   }
+  closed_.assign(n, 0);
+  count_of_.assign(n, 0);
+  std::vector<std::uint32_t> shared(nd, UINT32_MAX);
+  std::uint32_t counts = 0;
+  for (std::size_t m = 0; m < n; ++m) {
+    const std::uint32_t d = domain_of_[m];
+    if (open[d]) {
+      count_of_[m] = counts++;
+      continue;
+    }
+    closed_[m] = 1;
+    if (shared[d] == UINT32_MAX) shared[d] = counts++;
+    count_of_[m] = shared[d];
+  }
+  carrier_.assign(counts, 0);
+}
+
+bool Medium::single_domain_source(NodeId s) const {
+  const std::uint32_t own = domain_of_[static_cast<std::size_t>(s)];
+  const NodeId* e = row_end(aud_off_, aud_ids_, s);
+  for (const NodeId* p = row_begin(aud_off_, aud_ids_, s); p != e; ++p)
+    if (domain_of_[static_cast<std::size_t>(*p)] != own) return false;
+  return true;
 }
 
 Medium::NodeAirtime Medium::node_airtime(NodeId n, sim::Time now) const {
   const auto i = static_cast<std::size_t>(n);
-  const std::size_t d = domain_of_[i];
-  NodeAirtime a{dom_busy_ns_[d], dom_idle_ns_[d]};
-  const std::int64_t open = (now - dom_last_change_[d]).ns();
-  if (carrier_[d] > 0)
+  const std::size_t c = count_of_[i];
+  NodeAirtime a{busy_ns_[c], idle_ns_[c]};
+  const std::int64_t open = (now - last_change_[c]).ns();
+  if (carrier_[c] > 0)
     a.busy_ns += open;
   else
     a.idle_ns += open;
-  // Solo time: the domain counted as busy, but only n's own transmission
-  // made it so — n itself sensed idle.
+  // Solo time: the closed domain counted as busy, but only n's own
+  // transmission made it so — n itself sensed idle.
   std::int64_t solo = solo_ns_[i];
-  if (own_counted_[i] != 0 && carrier_[d] == 1)
+  if (own_counted_[i] != 0 && carrier_[c] == 1)
     solo += (now - solo_since_[i]).ns();
   a.busy_ns -= solo;
   a.idle_ns += solo;
@@ -588,25 +594,25 @@ void Medium::end_transmission(NodeId src, std::uint64_t tx_id) {
   sense_end(src, now);
 }
 
-void Medium::domain_flip(std::size_t d, std::int32_t before, sim::Time now) {
-  const std::int64_t span = (now - dom_last_change_[d]).ns();
+void Medium::carrier_flip(std::size_t c, std::int32_t before, sim::Time now) {
+  const std::int64_t span = (now - last_change_[c]).ns();
   if (before == 0) {
-    dom_idle_ns_[d] += span;
+    idle_ns_[c] += span;
   } else {
-    dom_busy_ns_[d] += span;
+    busy_ns_[c] += span;
   }
-  dom_last_change_[d] = now;
+  last_change_[c] = now;
 }
 
-void Medium::toggle_own(NodeId src, std::size_t d) {
+void Medium::toggle_own(NodeId src, std::size_t c) {
   const auto si = static_cast<std::size_t>(src);
   own_counted_[si] ^= 1;
   if (own_counted_[si] != 0) {
-    ++member_tx_n_[d];
+    ++member_tx_n_[c];
   } else {
-    --member_tx_n_[d];
+    --member_tx_n_[c];
   }
-  member_tx_xor_[d] ^= static_cast<std::uint32_t>(src);
+  member_tx_xor_[c] ^= static_cast<std::uint32_t>(src);
 }
 
 void Medium::notify_busy(NodeId n, sim::Time now) {
@@ -619,98 +625,84 @@ void Medium::notify_idle(NodeId n, sim::Time now) {
   clients_[static_cast<std::size_t>(n)]->on_channel_idle(now);
 }
 
-// A member m's sensed count is C - own(m), so an edge reaches m exactly
-// when that difference crosses 0 <-> 1. For a single-domain source s
-// (every listener a member of s's domain) that is: all members but s when
-// C crosses 0 <-> 1, and, when C crosses 1 <-> 2, the one member whose
+// A member m of a closed domain senses C - own(m), so an edge reaches m
+// exactly when that difference crosses 0 <-> 1: all members but the source
+// when C crosses 0 <-> 1, and, when C crosses 1 <-> 2, the one member whose
 // own transmission is the rest of the count. The own-solo bookkeeping
-// follows the same crossings (see node_airtime).
+// follows the same crossings (see node_airtime). Sources of open domains
+// move their listeners' per-node counts one by one.
 void Medium::sense_start(NodeId src, sim::Time now) {
   const auto si = static_cast<std::size_t>(src);
-  const std::size_t d0 = domain_of_[si];
-  if (single_[si]) {
-    const std::uint32_t lone = member_tx_n_[d0] == 1 ? member_tx_xor_[d0]
-                                                     : UINT32_MAX;
-    const std::int32_t before = carrier_[d0]++;
-    toggle_own(src, d0);
-    if (before == 0) {
-      domain_flip(d0, 0, now);
-      solo_begin(si, now);
-      if (dom_off_[d0 + 1] - dom_off_[d0] < 2) return;  // no listener
-      if (domain_listener_ != nullptr) {
-        ++domain_edges_;
-        domain_listener_->on_domain_busy(
-            domain_members(static_cast<std::uint32_t>(d0)), src, now);
-      } else {
-        for (const NodeId m : domain_members(static_cast<std::uint32_t>(d0)))
-          if (m != src) notify_busy(m, now);
+  if (!closed_[si]) {
+    const NodeId* e = row_end(aud_off_, aud_ids_, src);
+    for (const NodeId* p = row_begin(aud_off_, aud_ids_, src); p != e; ++p) {
+      const std::size_t c = count_of_[static_cast<std::size_t>(*p)];
+      if (carrier_[c]++ == 0) {
+        carrier_flip(c, 0, now);
+        notify_busy(*p, now);
       }
-    } else if (before == 1 && lone != UINT32_MAX) {
-      solo_end(lone, now);
-      notify_busy(static_cast<NodeId>(lone), now);
     }
     return;
   }
 
-  for (std::uint32_t k = src_dom_off_[si]; k < src_dom_off_[si + 1]; ++k) {
-    const std::size_t d = src_dom_ids_[k];
-    const std::int32_t before = carrier_[d]++;
-    if (before == 0) domain_flip(d, 0, now);
-  }
-  toggle_own(src, d0);
-  if (carrier_[d0] == 1) solo_begin(si, now);
-  // Per-node cascade in audibility-row order. Every count is final before
-  // the first callback; a callback reads only its own node's state.
-  const NodeId* e = row_end(aud_off_, aud_ids_, src);
-  for (const NodeId* p = row_begin(aud_off_, aud_ids_, src); p != e; ++p) {
-    const auto o = static_cast<std::size_t>(*p);
-    if (carrier_[domain_of_[o]] - own_counted_[o] != 1) continue;
-    if (own_counted_[o] != 0) solo_end(o, now);
-    notify_busy(*p, now);
+  const std::size_t c = count_of_[si];
+  const std::uint32_t lone = member_tx_n_[c] == 1 ? member_tx_xor_[c]
+                                                   : UINT32_MAX;
+  const std::int32_t before = carrier_[c]++;
+  toggle_own(src, c);
+  if (before == 0) {
+    carrier_flip(c, 0, now);
+    solo_begin(si, now);
+    const std::uint32_t d = domain_of_[si];
+    if (dom_off_[d + 1] - dom_off_[d] < 2) return;  // no listener
+    if (domain_listener_ != nullptr) {
+      ++domain_edges_;
+      domain_listener_->on_domain_busy(domain_members(d), src, now);
+    } else {
+      for (const NodeId m : domain_members(d))
+        if (m != src) notify_busy(m, now);
+    }
+  } else if (before == 1 && lone != UINT32_MAX) {
+    solo_end(lone, now);
+    notify_busy(static_cast<NodeId>(lone), now);
   }
 }
 
 void Medium::sense_end(NodeId src, sim::Time now) {
   const auto si = static_cast<std::size_t>(src);
-  const std::size_t d0 = domain_of_[si];
-  if (single_[si]) {
-    toggle_own(src, d0);
-    const std::int32_t after = --carrier_[d0];
-    assert(after >= 0);
-    if (after == 0) {
-      domain_flip(d0, 1, now);
-      solo_end(si, now);
-      if (dom_off_[d0 + 1] - dom_off_[d0] < 2) return;
-      if (domain_listener_ != nullptr) {
-        ++domain_edges_;
-        domain_listener_->on_domain_idle(
-            domain_members(static_cast<std::uint32_t>(d0)), src, now);
-      } else {
-        for (const NodeId m : domain_members(static_cast<std::uint32_t>(d0)))
-          if (m != src) notify_idle(m, now);
+  if (!closed_[si]) {
+    const NodeId* e = row_end(aud_off_, aud_ids_, src);
+    for (const NodeId* p = row_begin(aud_off_, aud_ids_, src); p != e; ++p) {
+      const std::size_t c = count_of_[static_cast<std::size_t>(*p)];
+      assert(carrier_[c] > 0);
+      if (--carrier_[c] == 0) {
+        carrier_flip(c, 1, now);
+        notify_idle(*p, now);
       }
-    } else if (after == 1 && member_tx_n_[d0] == 1) {
-      const std::uint32_t lone = member_tx_xor_[d0];
-      solo_begin(lone, now);
-      notify_idle(static_cast<NodeId>(lone), now);
     }
     return;
   }
 
-  if (carrier_[d0] == 1) solo_end(si, now);
-  toggle_own(src, d0);
-  for (std::uint32_t k = src_dom_off_[si]; k < src_dom_off_[si + 1]; ++k) {
-    const std::size_t d = src_dom_ids_[k];
-    const std::int32_t after = --carrier_[d];
-    assert(after >= 0);
-    if (after == 0) domain_flip(d, 1, now);
-  }
-  const NodeId* e = row_end(aud_off_, aud_ids_, src);
-  for (const NodeId* p = row_begin(aud_off_, aud_ids_, src); p != e; ++p) {
-    const auto o = static_cast<std::size_t>(*p);
-    if (carrier_[domain_of_[o]] - own_counted_[o] != 0) continue;
-    if (own_counted_[o] != 0) solo_begin(o, now);
-    notify_idle(*p, now);
+  const std::size_t c = count_of_[si];
+  toggle_own(src, c);
+  const std::int32_t after = --carrier_[c];
+  assert(after >= 0);
+  if (after == 0) {
+    carrier_flip(c, 1, now);
+    solo_end(si, now);
+    const std::uint32_t d = domain_of_[si];
+    if (dom_off_[d + 1] - dom_off_[d] < 2) return;
+    if (domain_listener_ != nullptr) {
+      ++domain_edges_;
+      domain_listener_->on_domain_idle(domain_members(d), src, now);
+    } else {
+      for (const NodeId m : domain_members(d))
+        if (m != src) notify_idle(m, now);
+    }
+  } else if (after == 1 && member_tx_n_[c] == 1) {
+    const std::uint32_t lone = member_tx_xor_[c];
+    solo_begin(lone, now);
+    notify_idle(static_cast<NodeId>(lone), now);
   }
 }
 

@@ -36,29 +36,35 @@
 // Sensing domains. finalize() splits the nodes into domains: a domain is
 // the set of nodes whose "heard-from set plus self" K is identical. Every
 // member of a domain therefore hears every other member, and a source
-// heard by one member is heard by all of them (except itself). The medium
-// keeps ONE carrier count C per domain — the in-flight sources in K — and
-// a per-node flag for "my own transmission is counted". A member's sensed
-// count is then exactly C - [own transmission counted]: K \ {m} is the
-// set m hears, and m itself is in K. No per-node count is stored.
+// heard by one member is heard by all of them (except itself). A source
+// whose listeners all lie in its own domain is a *single-domain* source; a
+// domain is *closed* when every source in its K is a single-domain source,
+// i.e. its members hear each other and nobody else.
 //
-// A source whose listeners all lie in its own domain (a *single-domain*
-// source) moves one count. C 0 -> 1 / 1 -> 0 is one *domain edge* reaching
-// every member except the source, in ascending id order; C 1 <-> 2 reaches
-// only the one member whose own transmission was (or is again) the whole
-// count. Everything else is a silent count change. A domain edge goes to
-// the DomainListener when one is installed (mac::Network moves the
-// domain's stations as one group there) and otherwise to each member's
-// client, in ascending id order — the per-node cascade's order, since the
-// source's audibility row is exactly the other members. Sources heard by
-// more than one domain — the only kind hidden-node topologies have — keep
-// the per-node cascade over their audibility row: every domain count they
-// touch is updated first, then each listener whose own difference crossed
-// 0 <-> 1 gets its callback. A fully connected cell is one domain; an ESS
-// of well-separated cells is one domain per cell. Per-node airtime
-// integrals are derived from per-domain integrals plus per-node "solo"
-// time (sensed idle while only the node's own transmission keeps C above
-// zero), so they stay exact too.
+// A closed domain keeps ONE carrier count C — its members in flight — and
+// a per-node flag for "my own transmission is counted". A member's sensed
+// count is then exactly C - [own transmission counted]: K \ {m} is the set
+// m hears, and m itself is in K. A member's start or end moves C only.
+// C 0 -> 1 / 1 -> 0 is one *domain edge* reaching every member except the
+// source, in ascending id order; C 1 <-> 2 reaches only the one member
+// whose own transmission was (or is again) the whole count. Everything
+// else is a silent count change. A domain edge goes to the DomainListener
+// when one is installed (mac::Network calls the members' handlers there)
+// and otherwise to each member's client, in ascending id order — the
+// per-node cascade's order, since the source's audibility row is exactly
+// the other members.
+//
+// Every node of an open domain keeps a count of its own, and every source
+// of an open domain — hidden-node placements have no other kind — keeps
+// the per-node cascade over its audibility row: a listener whose count
+// crosses 0 <-> 1 gets its callback. A source heard outside its domain
+// opens every domain it reaches, so such a cascade only ever touches
+// per-node counts, and a domain edge only a closed domain's. A fully
+// connected cell is one closed domain; an ESS of well-separated cells is
+// one closed domain per cell. Per-node airtime integrals are derived from
+// per-count integrals, less a closed-domain member's "solo" time (sensed
+// idle while only its own transmission keeps C above zero), so they stay
+// exact too.
 #pragma once
 
 #include <cstdint>
@@ -151,10 +157,12 @@ class Medium {
   std::span<const NodeId> domain_members(std::uint32_t d) const {
     return {dom_ids_.data() + dom_off_[d], dom_ids_.data() + dom_off_[d + 1]};
   }
-  /// True when every node that senses `s` lies in s's own domain (its
-  /// busy/idle edges take the domain path).
-  bool single_domain_source(NodeId s) const {
-    return single_[static_cast<std::size_t>(s)] != 0;
+  /// True when every node that senses `s` lies in s's own domain.
+  bool single_domain_source(NodeId s) const;
+  /// True when `s`'s domain is closed (its busy/idle edges are domain
+  /// edges; otherwise they take the per-node cascade).
+  bool closed_domain_source(NodeId s) const {
+    return closed_[static_cast<std::size_t>(s)] != 0;
   }
 
   /// Sensed-busy state for node `n` (excludes n's own transmissions).
@@ -232,10 +240,10 @@ class Medium {
     return active_;
   }
   /// Number of in-flight transmissions node `n` currently senses
-  /// (excluding its own): its domain's count minus its own transmission.
+  /// (excluding its own): its count minus its own transmission.
   std::int32_t sensed_count(NodeId n) const {
     const auto i = static_cast<std::size_t>(n);
-    return carrier_[domain_of_[i]] - own_counted_[i];
+    return carrier_[count_of_[i]] - own_counted_[i];
   }
 
   /// Closed per-node airtime split since finalize(). The conservation law
@@ -246,8 +254,8 @@ class Medium {
     std::int64_t idle_ns = 0;
   };
   /// The split at `now`, with the open interval since the last sensed
-  /// transition attributed to the current state (no mutation): the
-  /// domain's [C > 0] integral, less the node's solo time.
+  /// transition attributed to the current state (no mutation): its
+  /// count's [C > 0] integral, less the node's solo time.
   NodeAirtime node_airtime(NodeId n, sim::Time now) const;
   /// The instant finalize() started the integrals.
   sim::Time airtime_epoch() const { return airtime_epoch_; }
@@ -274,15 +282,16 @@ class Medium {
   void mark_pair_masked(NodeId src, NodeId o);
   void end_transmission(NodeId src, std::uint64_t tx_id);
 
-  /// Counts src's transmission in every domain whose key holds it and
-  /// delivers the resulting busy edges.
+  /// Counts src's transmission in every count that holds it and delivers
+  /// the resulting busy edges.
   void sense_start(NodeId src, sim::Time now);
   /// Releases it again, delivering the idle edges.
   void sense_end(NodeId src, sim::Time now);
-  /// Domain d's count changed from `before`; keeps its busy/idle integral.
-  void domain_flip(std::size_t d, std::int32_t before, sim::Time now);
-  /// Counts src's own transmission in its domain d, or stops counting it.
-  void toggle_own(NodeId src, std::size_t d);
+  /// Count c crossed 0 <-> 1 from `before`; closes its busy/idle interval.
+  void carrier_flip(std::size_t c, std::int32_t before, sim::Time now);
+  /// Counts src's own transmission in its closed domain's count c, or
+  /// stops counting it.
+  void toggle_own(NodeId src, std::size_t c);
   void solo_begin(std::size_t n, sim::Time now) { solo_since_[n] = now; }
   void solo_end(std::size_t n, sim::Time now) {
     solo_ns_[n] += (now - solo_since_[n]).ns();
@@ -334,20 +343,19 @@ class Medium {
   std::vector<std::uint32_t> domain_of_;  // node -> domain
   std::vector<std::uint32_t> dom_off_;    // domain -> members, ascending
   std::vector<NodeId> dom_ids_;
-  std::vector<std::uint8_t> single_;      // node: single-domain source
-  // Multi-domain sources: the distinct domains whose key holds s.
-  std::vector<std::uint32_t> src_dom_off_;
-  std::vector<std::uint32_t> src_dom_ids_;
-  std::vector<std::int32_t> carrier_;       // C per domain
+  std::vector<std::uint8_t> closed_;      // node: its domain is closed
+  // Carrier counts: one per closed domain, one per node of an open domain.
+  std::vector<std::uint32_t> count_of_;     // node -> its count
+  std::vector<std::int32_t> carrier_;       // C per count
   std::vector<std::int32_t> own_counted_;   // node: own tx counted (0/1)
-  // Per domain: members whose own transmission is counted, and the XOR
-  // of their ids (the id itself when exactly one is).
+  // Per count: members whose own transmission is counted, and the XOR of
+  // their ids (the id itself when exactly one is).
   std::vector<std::uint32_t> member_tx_n_;
   std::vector<std::uint32_t> member_tx_xor_;
-  // Airtime: per-domain [C > 0] integrals, per-node solo time.
-  std::vector<std::int64_t> dom_busy_ns_;
-  std::vector<std::int64_t> dom_idle_ns_;
-  std::vector<sim::Time> dom_last_change_;
+  // Airtime: per-count [C > 0] integrals, per-node solo time.
+  std::vector<std::int64_t> busy_ns_;
+  std::vector<std::int64_t> idle_ns_;
+  std::vector<sim::Time> last_change_;
   std::vector<std::int64_t> solo_ns_;
   std::vector<sim::Time> solo_since_;
   DomainListener* domain_listener_ = nullptr;

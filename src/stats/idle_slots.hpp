@@ -29,13 +29,17 @@ class IdleSlotMeter {
  public:
   IdleSlotMeter(sim::Duration slot, sim::Duration difs);
 
-  /// One instant's busy edge seen by a group of meters: members sampling
-  /// the same idle span share one division (same operands, same double).
+  /// One busy edge seen by a group of meters (a sensing domain's
+  /// members): meters sampling the same idle span share one division
+  /// (same operands, so the same double).
   struct SampleMemo {
     std::int64_t span_ns = -1;
     std::int64_t slot_ns = 0;
     double slots = 0.0;
   };
+
+  // The edge handlers run for every radio on every busy/idle edge, so
+  // they are inline.
 
   /// Sensed channel went idle -> busy at `now`.
   void on_sensed_busy(sim::Time now, SampleMemo* memo = nullptr) {
@@ -75,36 +79,7 @@ class IdleSlotMeter {
   bool idle_now(sim::Time now) const {
     return !sensed_busy_ && now >= own_tx_end_;
   }
-  void maybe_sample(sim::Time now, SampleMemo* memo = nullptr) {
-    const sim::Time activity_end = std::max(last_activity_end_, own_tx_end_);
-    const sim::Duration ifs = next_gap_ifs_;
-    next_gap_ifs_ = difs_;
-    if (have_prior_activity_) {
-      const sim::Duration gap = now - activity_end;
-      // Gaps shorter than the governing IFS (e.g. the SIFS before an ACK)
-      // belong to the same transmission and are not idle-slot samples.
-      if (gap >= ifs) record(gap - ifs, memo);
-    }
-    have_prior_activity_ = true;
-  }
-  /// Records one sample of `span` idle time (past the governing IFS).
-  void record(sim::Duration span, SampleMemo* memo) {
-    double slots;
-    if (memo == nullptr) {
-      slots = span / slot_;
-    } else {
-      if (memo->span_ns != span.ns() || memo->slot_ns != slot_.ns()) {
-        memo->span_ns = span.ns();
-        memo->slot_ns = slot_.ns();
-        memo->slots = span / slot_;
-      }
-      slots = memo->slots;
-    }
-    last_sample_ = slots;
-    sum_slots_ += slots;
-    ++samples_;
-    if (sample_cb_) sample_cb_(slots);
-  }
+  void maybe_sample(sim::Time now, SampleMemo* memo = nullptr);
 
   sim::Duration slot_;
   sim::Duration difs_;

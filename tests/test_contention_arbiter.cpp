@@ -7,6 +7,7 @@
 // and keeping the host-free work counters inside their gate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -547,6 +548,61 @@ TEST(ContentionArbiter, SenseCountersAreExported) {
   EXPECT_EQ(r.metrics.get("medium.domains", -1.0), 1.0);
   EXPECT_GT(r.metrics.get("medium.domain_edges", -1.0), 0.0);
   EXPECT_GE(r.metrics.get("medium.sense_callbacks", -1.0), 0.0);
+}
+
+// --- Join order on domain edges ---------------------------------------------
+//
+// A connected cell's idle edges reach the stations as one domain edge; the
+// members must still join each NAV and IFS cohort in ascending id order,
+// the order of the per-node cascade they replace. Traced and untraced
+// runs share the handlers, so the cohort trace records show the order.
+
+TEST(ContentionArbiter, DomainEdgeJoinsCohortsInAscendingIdOrder) {
+  PathGuard guard(1, 1);
+  auto net = exp::build_network(ScenarioConfig::connected(20, 1),
+                                SchemeConfig::wtop_csma());
+  obs::SimObs o(obs::category_bit(obs::kCatCohort), 1u << 20);
+  net->simulator().attach_obs(&o);
+  net->start();
+  net->run_for(sim::Duration::seconds(0.5));
+  net->simulator().attach_obs(nullptr);
+  ASSERT_EQ(o.trace.dropped(), 0u);
+  ASSERT_GT(net->medium().domain_edges(), 0u);
+
+  // One group per (instant, cohort kind, wait): its joiners in order.
+  struct Group {
+    std::int64_t t;
+    bool nav;
+    std::uint64_t wait_ns;
+    std::vector<std::uint32_t> nodes;
+  };
+  std::vector<Group> groups;
+  for (const obs::TraceRecord& r : o.trace.snapshot()) {
+    const bool nav = r.event == obs::ev::kNavPark;
+    if (!nav && r.event != obs::ev::kCohortFormed &&
+        r.event != obs::ev::kEnroll)
+      continue;
+    Group* g = nullptr;
+    for (auto it = groups.rbegin(); it != groups.rend() && it->t == r.time_ns;
+         ++it)
+      if (it->nav == nav && it->wait_ns == r.a) g = &*it;
+    if (g == nullptr) {
+      groups.push_back(Group{r.time_ns, nav, r.a, {}});
+      g = &groups.back();
+    }
+    g->nodes.push_back(r.node);
+  }
+  int large = 0;
+  for (const Group& g : groups) {
+    // A station whose own exchange ended at this instant enrolls first
+    // (its ACK arrives before the idle edge); the edge's members follow.
+    auto first = g.nodes.begin();
+    if (g.nodes.size() > 1 && g.nodes[0] > g.nodes[1]) ++first;
+    EXPECT_TRUE(std::is_sorted(first, g.nodes.end()))
+        << (g.nav ? "NAV" : "IFS") << " cohort at " << g.t << ": " << ::testing::PrintToString(g.nodes);
+    if (g.nodes.size() >= 10) ++large;
+  }
+  EXPECT_GT(large, 100) << "groups=" << groups.size();
 }
 
 }  // namespace

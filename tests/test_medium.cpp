@@ -553,8 +553,10 @@ TEST(SensingDomains, ConnectedCellIsOneDomain) {
   const Medium& m = net->medium();
   ASSERT_EQ(m.num_domains(), 1u);
   EXPECT_EQ(m.domain_members(0).size(), 21u);
-  for (std::size_t s = 0; s < m.num_nodes(); ++s)
+  for (std::size_t s = 0; s < m.num_nodes(); ++s) {
     EXPECT_TRUE(m.single_domain_source(static_cast<NodeId>(s)));
+    EXPECT_TRUE(m.closed_domain_source(static_cast<NodeId>(s)));
+  }
 }
 
 TEST(SensingDomains, MulticellGivesOneDomainPerCell) {
@@ -571,8 +573,10 @@ TEST(SensingDomains, MulticellGivesOneDomainPerCell) {
       for (const NodeId v : members)
         EXPECT_EQ(net->medium().domain_of(v), d);
     }
-    for (std::size_t s = 0; s < m.num_nodes(); ++s)
+    for (std::size_t s = 0; s < m.num_nodes(); ++s) {
       EXPECT_TRUE(m.single_domain_source(static_cast<NodeId>(s)));
+      EXPECT_TRUE(m.closed_domain_source(static_cast<NodeId>(s)));
+    }
   }
 }
 
@@ -582,9 +586,11 @@ TEST(SensingDomains, HiddenPlacementsHaveNoSingleDomainSource) {
                                   exp::SchemeConfig::tora_csma());
     const Medium& m = net->medium();
     EXPECT_GT(m.num_domains(), 1u);
-    for (std::size_t s = 0; s < m.num_nodes(); ++s)
+    for (std::size_t s = 0; s < m.num_nodes(); ++s) {
       EXPECT_FALSE(m.single_domain_source(static_cast<NodeId>(s)))
           << "seed " << seed << " source " << s;
+      EXPECT_FALSE(m.closed_domain_source(static_cast<NodeId>(s)));
+    }
   }
 }
 
@@ -634,11 +640,38 @@ TEST(SensingDomains, SourceHeardByTwoDomainsTakesThePerNodeCascade) {
     EXPECT_NE(medium.domain_of(2), medium.domain_of(0));
     EXPECT_NE(medium.domain_of(2), medium.domain_of(3));
     EXPECT_FALSE(medium.single_domain_source(2));
+    for (NodeId s = 0; s < 5; ++s) EXPECT_FALSE(medium.closed_domain_source(s));
   }
   const std::vector<Burst> bursts = {{10, 2, 100},  {30, 0, 200},
                                      {60, 4, 20},   {150, 3, 100},
                                      {300, 2, 50},  {320, 1, 10},
                                      {500, 0, 40},  {520, 1, 40}};
+  expect_cascade_order(pos, prop, bursts, /*listener=*/false);
+  expect_cascade_order(pos, prop, bursts, /*listener=*/true);
+}
+
+TEST(SensingDomains, ClosedAndOpenDomainsShareOneMedium) {
+  // 0,1,2 form a cell out of everyone else's range: one closed domain.
+  // 3,4,5 are a chain (3 and 5 out of each other's range): 4's frames
+  // reach two domains, so all three keep per-node counts.
+  DiscPropagation prop(20.0, 20.0);
+  const std::vector<Vec2> pos = {{0, 0},   {1, 0},   {2, 0},
+                                 {100, 0}, {115, 0}, {130, 0}};
+  {
+    sim::Simulator sim;
+    Medium medium(sim, prop);
+    std::vector<Probe> probes(pos.size());
+    for (std::size_t i = 0; i < pos.size(); ++i) medium.add_node(pos[i], probes[i]);
+    medium.finalize();
+    ASSERT_EQ(medium.num_domains(), 4u);
+    for (NodeId s = 0; s < 3; ++s) EXPECT_TRUE(medium.closed_domain_source(s));
+    for (NodeId s = 3; s < 6; ++s) EXPECT_FALSE(medium.closed_domain_source(s));
+  }
+  // Both kinds of edge interleave in time.
+  const std::vector<Burst> bursts = {{10, 0, 100},  {20, 4, 100},
+                                     {40, 1, 100},  {60, 3, 200},
+                                     {130, 5, 50},  {300, 2, 30},
+                                     {310, 4, 10},  {500, 1, 40}};
   expect_cascade_order(pos, prop, bursts, /*listener=*/false);
   expect_cascade_order(pos, prop, bursts, /*listener=*/true);
 }
