@@ -9,6 +9,7 @@ AccessPoint::AccessPoint(sim::Simulator& simulator, phy::Medium& medium,
     : sim_(simulator),
       medium_(medium),
       params_(params),
+      eifs_(params.eifs()),
       rng_(rng),
       idle_meter_(params.slot, params.difs) {}
 
@@ -77,7 +78,7 @@ void AccessPoint::on_frame_received(const phy::Frame& frame, bool clean,
     // The gap that follows is EIFS-governed at the stations; measure the
     // AP's idle slots consistently (Table III compares per-transmission
     // backoff slots, not IFS overhead).
-    idle_meter_.set_next_gap_ifs(params_.eifs());
+    idle_meter_.set_next_gap_ifs(eifs_);
     return;  // collision: no response; the station will time out
   }
 
@@ -96,7 +97,7 @@ void AccessPoint::on_frame_received(const phy::Frame& frame, bool clean,
   if (params_.frame_error_rate > 0.0 &&
       rng_.bernoulli(params_.frame_error_rate)) {
     ++data_errors_;
-    idle_meter_.set_next_gap_ifs(params_.eifs());
+    idle_meter_.set_next_gap_ifs(eifs_);
     return;
   }
 

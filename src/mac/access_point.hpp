@@ -87,6 +87,7 @@ class AccessPoint final : public phy::MediumClient {
   sim::Simulator& sim_;
   phy::Medium& medium_;
   WifiParams params_;
+  sim::Duration eifs_;  // params_.eifs(), read on every undecodable frame
   ApController* controller_ = nullptr;
 
   phy::NodeId self_ = phy::kInvalidNode;

@@ -64,8 +64,8 @@ ContentionArbiter::WaitCohort& ContentionArbiter::form_wait(
   cohort.expires_at = expires;
   add_member(cohort, station);
   WaitCohort* raw = &cohort;
-  // A normal event scheduled now: bit-for-bit the key (and queue
-  // position) of the first member's own timer.
+  // A normal event scheduled now: the key (and queue position) of the
+  // model's timer for the first member.
   cohort.event = sim_.schedule_at(expires, [this, raw] {
     if (raw->phase == ArbiterCohort::Phase::kNav) {
       nav_expired(raw);
@@ -96,9 +96,9 @@ void ContentionArbiter::nav_expired(WaitCohort* cohort) {
   stats_.nav_expiries += cohort->live;
   WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kNavExpire,
                  first_member_id(*cohort), cohort->live, stats_.nav_expiries);
-  // Park order == the seq order of the per-station NAV events this one
-  // event stands in for. A member's resume only re-checks the medium and
-  // enrolls (no transmission starts), so no member leaves mid-loop.
+  // Park order == the seq order of the model's per-member NAV timers this
+  // one event stands in for. A member's resume only re-checks the medium
+  // and enrolls (no transmission starts), so no member leaves mid-loop.
   for (Station* s : cohort->members) {
     if (s == nullptr) continue;
     s->cohort_ = nullptr;
@@ -114,7 +114,7 @@ void ContentionArbiter::pending_expired(WaitCohort* cohort) {
 
   // Two waits can end at the same instant only via distinct busy-period
   // ends (e.g. an earlier EIFS cohort and a later DIFS cohort). The
-  // per-station entry events would interleave by seq — which is this
+  // model's per-member entries interleave by seq — which is this
   // pending-fire order — so later cohorts APPEND to the one already
   // entered at this instant instead of anchoring their own.
   BackoffCohort* target = nullptr;
@@ -132,7 +132,7 @@ void ContentionArbiter::pending_expired(WaitCohort* cohort) {
     fresh.anchor_seq = 0;
     fresh.origin = now;
     fresh.rows = 0;
-    fresh.limit = Station::kMinBatchSlots;
+    fresh.limit = kMinRows;
     fresh.committers = 0;
     fresh.id = ++next_backoff_id_;
     target = &fresh;
@@ -197,11 +197,11 @@ void ContentionArbiter::decide(BackoffCohort* cohort) {
   WLAN_OBS_POINT(sim_, obs::kCatCohort, obs::ev::kCohortDecision,
                  first_member_id(*cohort), cohort->live, cohort->rows);
 
-  // Members in join order == the seq order of the per-station decision
-  // events this one event stands in for. Transmitters commit and leave
-  // (the radio start is deferred through a zero-delay event, so no commit
-  // is visible to a later member here); the rest start a new batch at
-  // this boundary.
+  // Members in join order == the seq order of the model's per-member
+  // boundary events this one event stands in for. Transmitters commit and
+  // leave (the radio start is deferred through a zero-delay event, so no
+  // commit is visible to a later member here); the rest start a new batch
+  // at this boundary.
   const bool committed = cohort->committers != 0;
   const bool capped = cohort->rows == cohort->limit;
   // Survivors are compacted in place (dropping tombstones, keeping order).
@@ -236,19 +236,17 @@ void ContentionArbiter::decide(BackoffCohort* cohort) {
   // No transmitter (cap reached, or every transmitter withdrew): keep
   // drawing ahead, doubling the cap after an uninterrupted full batch.
   if (capped)
-    cohort->limit = std::min(cohort->limit * 2, Station::kMaxBatchSlots);
+    cohort->limit = std::min(cohort->limit * 2, kMaxRows);
   draw_rows(*cohort);
   arm(*cohort);
 }
 
 void ContentionArbiter::arm(BackoffCohort& cohort) {
   const sim::Time due = cohort.origin + slot_ * std::max(cohort.rows, 1);
-  // Entry-lookback saturation guard, mirroring Station::begin_backoff:
-  // past ~4.29 s of continuous backoff the order key could no longer
-  // express the entry recency, so re-anchor to now. Deterministic, and
-  // unreachable under every existing scheme (it needs > 4 s of idle
-  // backoff); the per-station path re-anchors per member at its own
-  // continuation boundary in the same unreachable regime.
+  // Entry-lookback saturation guard: past ~4.29 s of continuous backoff
+  // the order key could no longer express the entry recency, so re-anchor
+  // to now. Deterministic, and unreachable under every existing scheme (it
+  // needs > 4 s of idle backoff).
   if ((due - cohort.entry).ns() >=
       static_cast<std::int64_t>(UINT32_MAX) - slot_.ns()) {
     cohort.entry = sim_.now();

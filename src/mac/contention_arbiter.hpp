@@ -2,41 +2,41 @@
 // that enter the same idle wait at the same instant, instead of one per
 // station.
 //
-// Motivation. Every channel edge moves ALL waiting stations at once: in a
-// connected network of N stations each data frame's end parks N-1
-// bystanders on the same NAV (SIFS + ACK), the ACK's end re-enters N
+// The model (mac/station.hpp) is slotted DCF: each waiting station runs a
+// NAV-expiry timer, a DIFS/EIFS timer, then one decide_transmit draw per
+// idle slot boundary. Every channel edge moves ALL waiting stations at
+// once: in a connected network of N stations each data frame's end parks
+// N-1 bystanders on the same NAV (SIFS + ACK), the ACK's end re-enters N
 // stations into the same DIFS, and the DIFS expiry starts N backoffs on
-// the same slot grid. Per-station timers carry no independent information
-// — only each member's own slot draws differ. The arbiter owns a
-// station's whole idle wait, in three phases:
+// the same slot grid. Per-station timers would carry no independent
+// information — only each member's own slot draws differ. The arbiter owns
+// a station's whole idle wait, in three phases:
 //
-//   NAV phase      park(station, until) replaces the station's NAV-expiry
-//                  timer. Stations parking at the same instant with the
-//                  same NAV end form one *NAV cohort* with ONE normal
-//                  event carrying the first member's exact key; on fire,
-//                  members resume (re-check the medium, then enroll) in
-//                  park order.
-//   IFS phase      enroll(station, ifs) replaces the DIFS/EIFS timer: same
-//                  instant + same wait = one *pending cohort*, one event,
-//                  first member's key.
+//   NAV phase      park(station, until): stations parking at the same
+//                  instant with the same NAV end form one *NAV cohort* with
+//                  ONE normal event, scheduled by the first member; on
+//                  fire, members resume (re-check the medium, then enroll)
+//                  in park order.
+//   IFS phase      enroll(station, ifs): same instant + same wait = one
+//                  *pending cohort*, one event, scheduled by the first
+//                  member.
 //   backoff phase  when a pending cohort expires its members enter one
 //                  *backoff cohort* sharing the entry instant, i.e. one
 //                  slot grid. The cohort draws ROWS on demand: row r is
 //                  one slot decision per member (each from its own
-//                  RNG/strategy — the values the per-station path draws),
-//                  drawn until some member transmits or the 8 -> 64 row
-//                  cap is reached. ONE anchored decision event sits at
-//                  that row, anchored to the cohort entry exactly as each
-//                  member's own decision event would have been. On fire,
-//                  transmitters commit in join order; survivors have then
-//                  drawn exactly the elapsed slots, so they draw nothing
-//                  ahead: a lazy next-row event (same anchor) draws from
-//                  the next boundary only if no busy edge intervenes. The
-//                  common interruption — the committed frame itself —
-//                  therefore finds "elapsed slots == drawn slots" and
-//                  needs no RNG/strategy rewind. (A row that ends on the
-//                  cap, or whose transmitters were all withdrawn, draws
-//                  ahead immediately, as the per-station batch does.)
+//                  RNG/strategy — the draw the model makes at that
+//                  boundary), drawn until some member transmits or the
+//                  kMinRows -> kMaxRows cap is reached. ONE anchored
+//                  decision event sits at that row. On fire, transmitters
+//                  commit in join order; survivors have then drawn exactly
+//                  the elapsed slots, so they draw nothing ahead: a lazy
+//                  next-row event (same anchor) draws from the next
+//                  boundary only if no busy edge intervenes. The common
+//                  interruption — the committed frame itself — therefore
+//                  finds "elapsed slots == drawn slots" and needs no
+//                  RNG/strategy rewind. (A row that ends on the cap, or
+//                  whose transmitters were all withdrawn, draws ahead
+//                  immediately.)
 //
 // Every phase keeps members in a join-ordered vector with tombstones and
 // each station holds its slot index, so withdraw() — a busy edge,
@@ -46,34 +46,40 @@
 // the armed event, which simply finds no transmitter if all committers
 // left, and continues the rows.
 //
-// Why results stay byte-identical (the contract CI enforces with cohort
-// vs per-station `cmp` gates and the randomized differential tests):
+// Why results equal the slotted model's. The recorded hash tables
+// tests/golden_corpus_hashes.inc and tests/golden_path_hashes.inc pin
+// them; both were recorded while one-event-per-slot and
+// one-event-per-station implementations still ran beside this one and
+// agreed on every entry.
 //
 //   * Seq elimination is invisible: removing schedule() calls shifts later
 //     events' sequence numbers but never their relative order, and every
 //     tie-break in sim::EventQueue is relative.
-//   * The per-station events a cohort replaces form a contiguous same-key
-//     block in the queue's same-instant ordering: members' NAV (or DIFS)
-//     events share (fire time, lookback) and tie by seq = park (enrollment)
-//     order; members' decision events share (fire time, lookback = slot,
-//     entry lookback) — the same backoff-entry instant — and tie by their
-//     entry seqs, again join order. The single cohort event carries the
-//     first member's key, and firing the members in join order inside it
+//   * The per-member timers of the model form a contiguous same-key block
+//     in the queue's same-instant ordering: members' NAV (or DIFS) timers
+//     share (fire time, lookback) and tie by seq = park (enrollment)
+//     order. The model's slot-boundary event is scheduled one slot before
+//     it fires, so every member's boundary shares (fire time, lookback =
+//     slot), and same-instant boundaries of different chains resolve by
+//     backoff entry: fresher entry first, then entry schedule order. That
+//     is why the decision event is *anchored* (sim::Simulator::
+//     schedule_anchored): it carries the lookback of one slot and the
+//     cohort's entry instant and entry seq, so however many rows it skips
+//     it ties with same-instant events exactly as the model's boundary
+//     event would. Firing the members in join order inside the one event
 //     reproduces the block.
-//   * Draw timing is unobservable: the per-station path pre-draws a batch
-//     at its own boundaries, the cohort draws rows at its own; each
-//     station consumes its RNG/strategy in the same order either way, and
-//     no other callback touches that state while the channel stays idle.
-//     A station interrupted mid-batch rewinds and replays exactly the
-//     boundaries the per-slot scheme would have drawn (Station::
-//     rollback_backoff), whatever was drawn ahead; the lazy next-row
-//     event fires at the boundary key a per-station decision event would
-//     hold, so it draws a row before any slot-committed start at that
-//     instant and after any earlier-scheduled (ACK/CTS/beacon) start —
+//   * Draw timing is unobservable: each station consumes its RNG/strategy
+//     in the model's order whenever the row is drawn, and no other
+//     callback touches that state while the channel stays idle. A station
+//     interrupted mid-batch rewinds and replays exactly the boundaries the
+//     model draws before the interruption (Station::rollback_backoff),
+//     whatever was drawn ahead; the lazy next-row event fires at the
+//     boundary's key, so it draws a row before any slot-committed start at
+//     that instant and after any earlier-scheduled (ACK/CTS/beacon) start —
 //     exactly the rollback's "does the boundary draw count" rule.
 //   * Two waits ending at the same instant (a DIFS cohort catching up with
 //     an earlier EIFS cohort, possible only through distinct busy-period
-//     ends) would interleave per-station by entry seq, which is exactly
+//     ends) interleave in the model by entry seq, which is exactly
 //     pending-event fire order — so cohorts reaching backoff at the same
 //     instant MERGE, appending members in that fire order (the earlier
 //     cohort's first-row draws are rewound and the rows redrawn for all).
@@ -83,35 +89,31 @@
 //     instant by schedule lookback), so member processing order inside
 //     one instant cannot leak across stations through the medium.
 //
-// The only same-instant orderings the cohort path compresses are against
+// The only same-instant orderings a cohort compresses are against
 // *equal-keyed* third-party events interleaving a member block mid-way
 // (e.g. a timer scheduled between two parks and landing on the cohort's
 // expiry instant with exactly the same lookback). Such an event's
 // processing commutes with a member's resume or backoff entry — the two
 // touch disjoint per-station state and the seqs they consume are never
 // compared against each other — so the compressed order is
-// observationally identical; the differential tests exist to keep that
-// argument honest.
+// observationally identical.
 //
 // Domain edges. phy::Medium groups nodes into sensing domains (nodes with
 // the same heard-from set plus self; see medium.hpp) and reports a busy or
 // idle edge of a single-domain source once per domain instead of once per
-// member. On the cohort path mac::Network receives that edge and runs
-// each member's own channel handler in ascending id order — the order of
-// the per-node cascade, so the members leave and join this arbiter's
-// cohorts in the same order, with the same event seqs. An idle edge's
-// members pass a JoinHint (the NAV or IFS cohort the previous member
-// joined) to park() / enroll(), which a member with the same key appends
-// to without a search; join and withdraw are inline below for the same
-// reason. The edge is every member's edge because a member's sensed count
-// is its domain's count minus its own transmission (exact: every member
-// hears every source its domain counts). Fully connected cells and ESS
-// cells take this path; hidden-node placements keep the per-node
-// callbacks.
+// member. mac::Network receives that edge and runs each member's own
+// channel handler in ascending id order — the order of the per-node
+// cascade, so the members leave and join this arbiter's cohorts in the
+// same order, with the same event seqs. An idle edge's members pass a
+// JoinHint (the NAV or IFS cohort the previous member joined) to park() /
+// enroll(), which a member with the same key appends to without a search;
+// join and withdraw are inline below for the same reason. The edge is
+// every member's edge because a member's sensed count is its domain's
+// count minus its own transmission (exact: every member hears every
+// source its domain counts). Fully connected cells and ESS cells take
+// this path; hidden-node placements keep the per-node callbacks.
 //
-// Enabled per-Network via mac::Station::cohort_enabled() (WLAN_COHORT,
-// default on, requires batched backoff); the per-station path remains and
-// is byte-compared in CI.
+// mac::Network builds one arbiter for every station of the network.
 #pragma once
 
 #include <cassert>
@@ -142,22 +144,32 @@ struct ArbiterCohort {
 
 class ContentionArbiter {
  public:
+  /// Draw-ahead cap of a backoff batch. It is a pure performance knob —
+  /// draws, boundaries and event anchoring are identical for any value —
+  /// so it self-tunes: each backoff starts at kMinRows (a busy
+  /// interruption forfeits the batch's unused draws, and dense contention
+  /// interrupts within a few slots) and doubles per uninterrupted full
+  /// batch up to kMaxRows (long idle runs approach one event per 64
+  /// slots).
+  static constexpr int kMinRows = 8;
+  static constexpr int kMaxRows = 64;
+
   /// `slot` is the (network-wide) idle slot duration — the schedule
-  /// lookback every replaced per-station decision event carried.
+  /// lookback of the model's slot-boundary events.
   ContentionArbiter(sim::Simulator& simulator, sim::Duration slot);
 
   ContentionArbiter(const ContentionArbiter&) = delete;
   ContentionArbiter& operator=(const ContentionArbiter&) = delete;
 
-  /// Takes over the station's NAV-expiry timer: the station (idle medium,
+  /// Runs the station's NAV-expiry timer: the station (idle medium,
   /// kIdleWait on its NAV) joins the cohort keyed (now, until), creating
   /// it — and its single expiry event — on first membership. `hint`
   /// (one idle domain edge's members) names the NAV cohort the previous
   /// member joined, which a member with the same key appends to directly.
   void park(Station& station, sim::Time until, JoinHint* hint = nullptr);
 
-  /// Takes over the station's DIFS/EIFS timer: the station (currently in
-  /// its DifsWait state) joins the cohort keyed (now, ifs), creating it —
+  /// Runs the station's DIFS/EIFS timer: the station (currently in its
+  /// DifsWait state) joins the cohort keyed (now, ifs), creating it —
   /// and its single expiry event — on first membership. `hint` as for
   /// park(), for the IFS cohort.
   void enroll(Station& station, sim::Duration ifs, JoinHint* hint = nullptr);
@@ -201,7 +213,7 @@ class ContentionArbiter {
     std::uint64_t anchor_seq;  // anchored order_seq (first schedule's seq)
     sim::Time origin;          // the current batch's row-0 boundary
     int rows = 0;              // rows drawn in the current batch
-    int limit = 0;             // draw-ahead cap for this batch (8 -> 64)
+    int limit = 0;             // draw-ahead cap for this batch
     std::size_t committers = 0;  // live members transmitting at `rows`
     std::uint64_t id = 0;      // process-unique label (flight recorder)
   };
@@ -232,8 +244,7 @@ class ContentionArbiter {
   void draw_rows(BackoffCohort& cohort);
   /// Schedules the cohort's event at row max(rows, 1), re-anchoring first
   /// if the entry lookback would saturate the order key (> ~4.29 s of
-  /// continuous backoff — unreachable under every existing scheme,
-  /// mirroring Station::begin_backoff's own guard).
+  /// continuous backoff — unreachable under every existing scheme).
   void arm(BackoffCohort& cohort);
 
   static void add_member(ArbiterCohort& cohort, Station& station);
@@ -276,8 +287,8 @@ inline ContentionArbiter::WaitCohort& ContentionArbiter::join_wait(
     ArbiterCohort::Phase phase, Station& station, sim::Time expires,
     ArbiterCohort*& hinted) {
   const sim::Time now = sim_.now();
-  // Same instant + same expiry = the same per-station event key; join
-  // order is exactly the seq order the members' own timers would have had.
+  // Same instant + same expiry = the same key for the model's per-member
+  // timers; join order is exactly their seq order.
   auto* h = static_cast<WaitCohort*>(hinted);
   if (h != nullptr && h->joined_at == now && h->expires_at == expires) {
     add_member(*h, station);

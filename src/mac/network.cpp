@@ -112,12 +112,11 @@ void Network::finalize() {
                         static_cast<phy::NodeId>(station_cell_[i]),
                         &counters_->node(i));
   }
-  if (Station::cohort_enabled() && num_built_ > 0) {
+  if (num_built_ > 0) {
     // Cohort-level contention: same-entry stations share one DIFS event
-    // and one decision event (see mac/contention_arbiter.hpp). Results
-    // are bit-identical to the per-station path, which WLAN_COHORT=0
-    // restores. One arbiter spans every cell — contention happens on the
-    // shared medium, not per BSS.
+    // and one decision event (see mac/contention_arbiter.hpp). One arbiter
+    // spans every cell — contention happens on the shared medium, not per
+    // BSS.
     arbiter_ = std::make_unique<ContentionArbiter>(sim_, params_.slot);
     for (std::size_t i = 0; i < num_built_; ++i)
       stations_[i].set_contention_arbiter(arbiter_.get());

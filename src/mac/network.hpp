@@ -131,9 +131,9 @@ class Network final : private phy::DomainListener {
     return controllers_[static_cast<std::size_t>(cell)].get();
   }
 
-  /// The cohort contention arbiter, when Station::cohort_enabled() held at
-  /// finalize() (WLAN_COHORT, default on); nullptr on the per-station
-  /// event path. Exposed for tests asserting cohort formation.
+  /// The cohort contention arbiter every station contends through (built
+  /// at finalize(); nullptr for a network without stations). Exposed for
+  /// tests and metrics asserting cohort formation.
   ContentionArbiter* contention_arbiter() { return arbiter_.get(); }
 
   /// True when set_traffic() installed finite sources.
@@ -158,8 +158,8 @@ class Network final : private phy::DomainListener {
   }
 
  private:
-  // phy::DomainListener (cohort path): a domain edge reaches the members
-  // as one group — see on_domain_busy in network.cpp.
+  // phy::DomainListener: a domain edge reaches the members as one group —
+  // see on_domain_busy in network.cpp.
   void on_domain_busy(std::span<const phy::NodeId> members,
                       phy::NodeId source, sim::Time now) override;
   void on_domain_idle(std::span<const phy::NodeId> members,
@@ -184,7 +184,7 @@ class Network final : private phy::DomainListener {
   Station* stations_ = nullptr;  // contiguous arena of num_built_ stations
   std::size_t num_built_ = 0;
   std::size_t arena_cap_ = 0;  // allocation size (deallocate needs it)
-  std::unique_ptr<ContentionArbiter> arbiter_;  // cohort path only
+  std::unique_ptr<ContentionArbiter> arbiter_;  // null without stations
   traffic::TrafficConfig traffic_config_;  // saturated by default
   std::vector<std::unique_ptr<traffic::TrafficSource>> sources_;
   std::unique_ptr<stats::RunCounters> counters_;

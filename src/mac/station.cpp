@@ -1,51 +1,22 @@
 #include "mac/station.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
 #include "mac/contention_arbiter.hpp"
 #include "obs/flight.hpp"
 #include "obs/trace.hpp"
 #include "traffic/source.hpp"
-#include "util/env.hpp"
 
 namespace wlan::mac {
-
-namespace {
-// -1 = follow the (latched) environment; 0/1 = forced. Relaxed atomics so
-// sweep worker threads may read while the value rests; tests mutate only
-// between simulations.
-std::atomic<int> g_batch_override{-1};
-std::atomic<int> g_cohort_override{-1};
-}  // namespace
-
-bool Station::batching_enabled() {
-  const int forced = g_batch_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  static const bool enabled = util::env_bool("WLAN_BATCH_SLOTS", true);
-  return enabled;
-}
-
-bool Station::cohort_enabled() {
-  if (!batching_enabled()) return false;  // cohorts pre-draw batches
-  const int forced = g_cohort_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return forced != 0;
-  static const bool enabled = util::env_bool("WLAN_COHORT", true);
-  return enabled;
-}
-
-void Station::set_batching_override(int value) { g_batch_override = value; }
-void Station::set_cohort_override(int value) { g_cohort_override = value; }
 
 Station::BackoffAudit Station::backoff_audit() const {
   BackoffAudit a;
   a.drawn = audit_drawn_;
   a.consumed = audit_consumed_;
   a.rewound = audit_rewound_;
-  // A pending batch's draws are neither consumed nor rewound yet; the
-  // legacy per-slot path consumes each draw the instant it is made.
-  a.outstanding = (state_ == State::kBackoff && batching_enabled())
+  // A pending batch's draws are neither consumed nor rewound yet.
+  a.outstanding = state_ == State::kBackoff
                       ? static_cast<std::uint64_t>(batch_planned_)
                       : 0;
   return a;
@@ -82,12 +53,12 @@ void Station::set_traffic_source(traffic::TrafficSource* source) {
 }
 
 void Station::set_contention_arbiter(ContentionArbiter* arbiter) {
-  assert(arbiter == nullptr || batching_enabled());
   arbiter_ = arbiter;
 }
 
 void Station::start() {
   assert(self_ != phy::kInvalidNode && "attach() must be called first");
+  assert(arbiter_ != nullptr && "set_contention_arbiter() must come first");
   active_ = true;
   resume_contention();
 }
@@ -104,14 +75,9 @@ void Station::set_active(bool active) {
     if (state_ == State::kDifsWait || state_ == State::kBackoff ||
         state_ == State::kIdleWait || state_ == State::kNoData) {
       // The deactivation event was scheduled long before any boundary it
-      // could coincide with, so a boundary draw at this exact instant
-      // never happened in the per-slot scheme.
-      if (state_ == State::kBackoff && batching_enabled())
-        rollback_backoff(false);
+      // could coincide with, so the model draws nothing at this instant.
+      if (state_ == State::kBackoff) rollback_backoff(false);
       if (cohort_ != nullptr) arbiter_->withdraw(*this);
-      sim_.cancel(difs_event_);
-      sim_.cancel(slot_event_);
-      sim_.cancel(nav_event_);
       set_state(State::kInactive);
     }
   }
@@ -132,23 +98,14 @@ void Station::resume_contention(JoinHint* hint) {
     return;
   }
   if (now < nav_until_) {
-    // Virtual carrier sense: sleep until the NAV expires, then re-check.
+    // Virtual carrier sense: sleep until the NAV expires, then re-check
+    // (one expiry event per cohort of stations parking on the same NAV
+    // end at this instant).
     set_state(State::kIdleWait);
-    if (arbiter_ != nullptr) {
-      // Cohort path: one expiry event per cohort of stations parking on
-      // the same NAV end at this instant.
-      arbiter_->park(*this, nav_until_, hint);
-      return;
-    }
-    arm_nav_timer();
+    arbiter_->park(*this, nav_until_, hint);
     return;
   }
   begin_ifs_wait(hint);
-}
-
-void Station::arm_nav_timer() {
-  sim_.cancel(nav_event_);
-  nav_event_ = sim_.schedule_at(nav_until_, [this] { nav_expired(); });
 }
 
 void Station::nav_expired() {
@@ -163,93 +120,12 @@ void Station::begin_ifs_wait(JoinHint* hint) {
   // EIFS after an undecodable busy period, DIFS otherwise (802.11 9.3.2.3.7).
   const sim::Duration wait = eifs_pending_ ? eifs_ : params_.difs;
   eifs_pending_ = false;
-  if (arbiter_ != nullptr) {
-    // Cohort path: the arbiter owns the wait timer (one event per cohort
-    // of stations entering the same wait at this instant).
-    arbiter_->enroll(*this, wait, hint);
-    return;
-  }
-  arm_ifs_timer(wait);
-}
-
-void Station::arm_ifs_timer(sim::Duration wait) {
-  difs_event_ = sim_.schedule_after(wait, [this] {
-    set_state(State::kBackoff);
-    if (batching_enabled()) {
-      begin_backoff(/*fresh=*/true);
-    } else {
-      schedule_slot();
-    }
-  });
-}
-
-void Station::schedule_slot() {
-  slot_event_ = sim_.schedule_after(params_.slot, [this] { slot_boundary(); });
-}
-
-void Station::slot_boundary() {
-  assert(state_ == State::kBackoff);
-  ++audit_drawn_;
-  ++audit_consumed_;
-  const bool tx = strategy_->decide_transmit(rng_);
-  if (tx) {
-    commit_transmission();
-  } else {
-    schedule_slot();
-  }
-}
-
-void Station::draw_batch() {
-  // Pre-draw the per-slot decisions this batch will need. The draw order
-  // is exactly the per-slot scheme's (one decide_transmit per boundary, no
-  // other strategy/RNG use can intervene while the channel is idle), so
-  // simulation results are bit-identical; rollback_backoff() undoes the
-  // draws a busy interruption proves premature. (The cohort path draws
-  // the same values one row at a time through cohort_draw().)
-  backoff_origin_ = sim_.now();
-  backoff_rng_ = rng_;
-  strategy_->checkpoint_decision_state();
-  int k = 1;
-  bool transmit = strategy_->decide_transmit(rng_);
-  while (!transmit && k < batch_limit_) {
-    ++k;
-    transmit = strategy_->decide_transmit(rng_);
-  }
-  batch_planned_ = k;
-  batch_transmit_ = transmit;
-  audit_drawn_ += static_cast<std::uint64_t>(k);
-}
-
-void Station::begin_backoff(bool fresh) {
-  if (fresh) {
-    anchor_time_ = sim_.now();
-    batch_limit_ = kMinBatchSlots;
-  } else {
-    batch_limit_ = std::min(batch_limit_ * 2, kMaxBatchSlots);
-    // The anchored entry lookback saturates at ~4.29 s (u32 ns); past that
-    // the tie-break key could no longer distinguish entry recency, so
-    // re-anchor here instead. Deterministic, and unreachable under every
-    // existing scheme (it needs > 4 s of continuous idle backoff).
-    if ((sim_.now() - anchor_time_) + params_.slot * batch_limit_ >=
-        sim::Duration::nanoseconds(INT64_C(0xFFFFFFFF))) {
-      anchor_time_ = sim_.now();
-      anchor_seq_ = 0;  // re-anchor to the schedule call below
-    }
-  }
-  draw_batch();
-  // The decision event replaces the whole per-slot chain, so it must tie
-  // with same-instant events exactly as the chain's final event would:
-  // virtually scheduled one slot before it fires, by a chain entered at
-  // anchor_time_ with the entry event's insertion seq. (Same-boundary
-  // chains resolve as: fresher entry first, then entry schedule order.)
-  slot_event_ = sim_.schedule_anchored(
-      backoff_origin_ + params_.slot * batch_planned_, params_.slot,
-      anchor_time_, fresh ? 0 : anchor_seq_, [this] { decision_boundary(); });
-  if (fresh || anchor_seq_ == 0) anchor_seq_ = slot_event_.sequence();
+  // One wait event per cohort of stations entering the same wait at this
+  // instant.
+  arbiter_->enroll(*this, wait, hint);
 }
 
 void Station::cohort_enter_backoff() {
-  assert(arbiter_ != nullptr);
   assert(state_ == State::kDifsWait);
   set_state(State::kBackoff);
   backoff_origin_ = sim_.now();
@@ -289,30 +165,18 @@ bool Station::cohort_decision() {
     return true;
   }
   // This boundary is the next batch's origin (its draw is already
-  // consumed, matching per-slot history); the cohort draws its rows.
+  // consumed); the cohort draws its rows.
   backoff_origin_ = sim_.now();
   batch_planned_ = 0;
   return false;
 }
 
-void Station::decision_boundary() {
-  assert(state_ == State::kBackoff);
-  audit_consumed_ += static_cast<std::uint64_t>(batch_planned_);
-  if (batch_transmit_) {
-    commit_transmission();
-  } else {
-    // No "transmit" within the cap: this boundary is the next batch's
-    // origin (its draw is already consumed, matching per-slot history).
-    begin_backoff(/*fresh=*/false);
-  }
-}
-
 void Station::rollback_backoff(bool boundary_draw_counts) {
   // A busy transition (or deactivation) interrupted the batch at `now`.
-  // The per-slot scheme would have consumed one draw per boundary that
-  // fired before the interruption: every boundary strictly before now,
-  // plus one at exactly now iff the trigger's event was scheduled after
-  // that boundary's event would have been (slot-committed transmissions
+  // The slotted model consumes one draw per boundary that fired before
+  // the interruption: every boundary strictly before now, plus one at
+  // exactly now iff the trigger's event was scheduled after that
+  // boundary's event would have been (slot-committed transmissions
   // are scheduled at the same instant they start; ACK/CTS/beacon starts
   // were scheduled at least a SIFS — more than a slot — earlier and fire
   // first, cancelling the boundary). Rewind and replay exactly that many.
@@ -322,8 +186,8 @@ void Station::rollback_backoff(bool boundary_draw_counts) {
   if (replay > 0 && elapsed % slot_ns == 0 && !boundary_draw_counts) --replay;
   assert(replay <= batch_planned_);
   audit_consumed_ += static_cast<std::uint64_t>(replay);
-  // Nothing drawn ahead (the cohort path's lazy rows): the RNG and
-  // strategy already stand exactly at the interruption.
+  // Nothing drawn ahead (a lazy row): the RNG and strategy already stand
+  // exactly at the interruption.
   if (replay == batch_planned_) return;
   audit_rewound_ += static_cast<std::uint64_t>(batch_planned_ - replay);
   rng_ = backoff_rng_;
@@ -422,33 +286,20 @@ void Station::channel_busy(sim::Time now,
   // Rewind the backoff batch BEFORE the idle-meter sample: the replayed
   // draws belong to boundaries that preceded this transition, while the
   // meter's sample callback (IdleSense's on_transmission_observed) fires
-  // at it — the per-slot scheme's exact order.
-  // (A cohort member with nothing drawn has nothing to rewind.)
-  if (state_ == State::kBackoff && batch_planned_ != 0 && batching_enabled())
+  // at it — the slotted model's exact order. (A member with nothing drawn
+  // has nothing to rewind.)
+  if (state_ == State::kBackoff && batch_planned_ != 0)
     rollback_backoff(medium_.last_start_slot_committed());
   idle_meter_.on_sensed_busy(now, memo);
   switch (state_) {
     case State::kDifsWait:
-      if (arbiter_ != nullptr)
-        arbiter_->withdraw(*this);
-      else
-        sim_.cancel(difs_event_);
-      set_state(State::kIdleWait);
-      break;
     case State::kBackoff:
-      if (arbiter_ != nullptr)
-        arbiter_->withdraw(*this);
-      else
-        sim_.cancel(slot_event_);
+      arbiter_->withdraw(*this);
       set_state(State::kIdleWait);
       break;
     case State::kIdleWait:
-      // Re-established at the next idle.
-      if (cohort_ != nullptr) {
-        arbiter_->withdraw(*this);  // parked on a NAV cohort
-      } else if (nav_event_.valid()) {
-        sim_.cancel(nav_event_);
-      }
+      // Parked on a NAV cohort: re-established at the next idle.
+      if (cohort_ != nullptr) arbiter_->withdraw(*this);
       break;
     case State::kInactive:
     case State::kNoData:

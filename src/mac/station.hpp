@@ -18,23 +18,17 @@
 // freeze semantics for counter-based strategies (counters persist inside the
 // strategy) and is immaterial for memoryless ones.
 //
-// Batched slot decisions: instead of one event per idle slot, the station
-// pre-draws the strategy's per-slot answers at backoff entry and schedules
-// a single decision event at the first "transmit" slot (capped at
-// kMaxBatchSlots, then re-batched). The decision event is seq-anchored one
-// slot before it fires (a no-op "hop" event) so its ordering against
-// same-instant events is identical to the per-slot scheme's, and a busy
+// Slot decisions. The model is slotted: after DIFS/EIFS, the station makes
+// one decide_transmit draw at every idle slot boundary until it draws
+// "transmit". No event runs per slot. The station hands its whole idle
+// wait — NAV expiry, DIFS/EIFS, backoff — to a mac::ContentionArbiter,
+// which groups stations entering the same wait at the same instant into
+// cohorts and asks for one draw (one row) at a time via cohort_draw(). The
+// arbiter stops at the cohort's first transmitter, and after a commit row
+// draws nothing until the next boundary actually arrives. The batch fields
+// below describe the rows drawn since the last boundary. A busy
 // interruption rewinds the RNG + strategy checkpoint and replays exactly
-// the draws the per-slot scheme would have consumed — behaviour and every
-// figure CSV stay byte-identical while idle backoff runs cost O(1) events.
-//
-// With a mac::ContentionArbiter attached (the default) the station hands
-// its whole idle wait — NAV expiry, DIFS/EIFS, backoff events — to
-// same-instant cohorts and draws on demand: the arbiter asks for one row
-// (one decision) at a time via cohort_draw(), stops at the cohort's first
-// transmitter, and after a commit row draws nothing until the next
-// boundary actually arrives. The batch fields below then describe the
-// rows drawn since the last boundary; rollback_backoff() is shared, and
+// the draws the model makes before that instant (rollback_backoff()), and
 // finds nothing to rewind when elapsed slots == drawn slots.
 //
 // Traffic gating: with a traffic::TrafficSource attached the station only
@@ -100,9 +94,9 @@ class Station final : public phy::MediumClient {
   /// station). Must precede start(). nullptr (default) = saturated.
   void set_traffic_source(traffic::TrafficSource* source);
 
-  /// Hands the station's DIFS/backoff timers to a cohort arbiter (not
-  /// owned; must outlive the station). Must precede start(); requires
-  /// batching_enabled(). nullptr (default) = per-station events.
+  /// Hands the station's NAV, DIFS/EIFS and backoff waits to the cohort
+  /// arbiter (not owned; must outlive the station). Required; must
+  /// precede start().
   void set_contention_arbiter(ContentionArbiter* arbiter);
 
   /// Begins contending at the current simulation time.
@@ -141,47 +135,13 @@ class Station final : public phy::MediumClient {
                              std::span<const phy::NodeId> members,
                              phy::NodeId source, sim::Time now);
 
-  /// Slot decisions pre-drawn per batch; a run with no "transmit" answer
-  /// re-batches from the capped boundary. The cap is a pure performance
-  /// knob — draws, boundaries, and event anchoring are identical for any
-  /// value — so it self-tunes: each backoff starts at kMinBatchSlots (a
-  /// busy interruption forfeits the batch's unused pre-draws, and dense
-  /// contention interrupts within a few slots) and doubles per
-  /// uninterrupted continuation up to kMaxBatchSlots (long idle runs
-  /// approach one event per 64 slots).
-  static constexpr int kMinBatchSlots = 8;
-  static constexpr int kMaxBatchSlots = 64;
-
-  /// WLAN_BATCH_SLOTS=0 selects the legacy one-event-per-idle-slot path
-  /// (default: batched). The two paths are behaviourally identical —
-  /// tests/test_traffic_integration.cpp asserts bit-equal results — the
-  /// knob exists so the equivalence stays checkable.
-  static bool batching_enabled();
-
-  /// WLAN_COHORT=0 selects per-station DIFS/decision events (default:
-  /// one event per same-entry cohort via mac::ContentionArbiter). Implies
-  /// batching: with WLAN_BATCH_SLOTS=0 this reports false. Behaviourally
-  /// identical — tests/test_contention_arbiter.cpp and the CI `cmp`
-  /// gates assert bit-equal results. Consulted by mac::Network at
-  /// finalize(); a Network built while this is true wires the arbiter.
-  static bool cohort_enabled();
-
-  /// Process-wide test overrides for the two env knobs above: -1 = follow
-  /// the environment (default), 0 = force off, 1 = force on. The knobs
-  /// are otherwise latched per process, which would make in-process
-  /// differential tests (cohort vs legacy vs per-slot) impossible. Only
-  /// mutate between simulations.
-  static void set_batching_override(int value);
-  static void set_cohort_override(int value);
-
   /// Lifetime backoff-draw accounting (pure counters, no behaviour). The
   /// conservation law obs::AuditSet checks:
   ///   drawn == consumed + rewound + outstanding
-  /// where every decide_transmit() draw is `drawn` when pre-drawn (or made
-  /// at a legacy slot boundary), `consumed` once its slot boundary elapsed
-  /// (or it was replayed by a rollback), `rewound` when a busy
-  /// interruption proved it premature, and `outstanding` while its batch
-  /// is still pending.
+  /// where every decide_transmit() draw is `drawn` when made, `consumed`
+  /// once its slot boundary elapsed (or it was replayed by a rollback),
+  /// `rewound` when a busy interruption proved it premature, and
+  /// `outstanding` while its batch is still pending.
   struct BackoffAudit {
     std::uint64_t drawn = 0;
     std::uint64_t consumed = 0;
@@ -196,7 +156,7 @@ class Station final : public phy::MediumClient {
     kNoData,       // traffic queue empty; parked until an arrival
     kIdleWait,     // channel (or NAV) busy; waiting to go idle
     kDifsWait,     // channel idle; DIFS timer running
-    kBackoff,      // channel idle; batched decision event pending
+    kBackoff,      // channel idle; in a backoff cohort
     kTransmitting, // own frame (RTS or data) on the air (committed)
     kWaitCts,      // RTS sent; CTS timer running
     kWaitAck,      // data sent; ACK timer running
@@ -213,30 +173,17 @@ class Station final : public phy::MediumClient {
     state_ = next;
   }
 
-  // resume_contention and begin_ifs_wait run for every waiting member on
-  // every idle domain edge; the per-station path's timers are armed out
-  // of line.
   /// The channel handlers; `memo` / `hint` are shared by the members of
   /// one domain edge, nullptr for a lone callback.
   void channel_busy(sim::Time now, stats::IdleSlotMeter::SampleMemo* memo);
   void channel_idle(sim::Time now, JoinHint* hint);
   void resume_contention(JoinHint* hint = nullptr);
-  /// NAV-expiry timer body: re-check the channel if still waiting on it.
+  /// NAV-expiry body (the arbiter's NAV cohort): re-check the channel if
+  /// still waiting on it.
   void nav_expired();
-  void arm_nav_timer();
   void begin_ifs_wait(JoinHint* hint);
-  void arm_ifs_timer(sim::Duration wait);
-  /// Starts a decision batch. `fresh` is true on backoff entry (from the
-  /// DIFS/EIFS expiry) and false when a capped batch continues — the
-  /// continuation keeps the entry's ordering anchor.
-  void begin_backoff(bool fresh);
-  void decision_boundary();
-  /// Pre-draws one decision batch from the current instant (per-station
-  /// path; begin_backoff's core).
-  void draw_batch();
-  // Cohort-arbiter hooks (cohort path only; the arbiter owns the timer
-  // events and decides how many rows to draw, the station keeps every
-  // draw and all rollback machinery).
+  // Arbiter hooks: the arbiter owns the timer events and decides how many
+  // rows to draw; the station keeps every draw and all rollback machinery.
   /// DIFS/EIFS expired: enter backoff with an empty batch at this instant.
   void cohort_enter_backoff();
   /// Draws the next row's decision of the current batch (checkpointing
@@ -248,9 +195,6 @@ class Station final : public phy::MediumClient {
   /// leaves the cohort) or start an empty batch here (returns false).
   bool cohort_decision();
   void rollback_backoff(bool boundary_draw_counts);
-  // Legacy per-slot path (WLAN_BATCH_SLOTS=0).
-  void schedule_slot();
-  void slot_boundary();
   void commit_transmission();
   void radio_transmit();
   void transmit_data_frame(bool slot_committed);
@@ -274,25 +218,16 @@ class Station final : public phy::MediumClient {
   bool active_ = false;
   traffic::TrafficSource* traffic_ = nullptr;
   ContentionArbiter* arbiter_ = nullptr;
-  sim::EventId difs_event_;
-  /// The pending hop or decision event of the current backoff batch.
-  sim::EventId slot_event_;
   /// Backoff-batch bookkeeping: boundaries sit at backoff_origin_ + i*slot
-  /// (i = 1..batch_planned_); the pre-drawn outcome of the last boundary
-  /// is batch_transmit_, and backoff_rng_ / the strategy checkpoint rewind
-  /// an interrupted batch. anchor_time_/anchor_seq_ pin the decision
-  /// event's same-instant ordering to the backoff ENTRY (the per-slot
-  /// chain's resolution order), surviving capped-batch continuations.
+  /// (i = 1..batch_planned_); the outcome of the last drawn boundary is
+  /// batch_transmit_, and backoff_rng_ / the strategy checkpoint rewind
+  /// an interrupted batch.
   sim::Time backoff_origin_ = sim::Time::zero();
-  sim::Time anchor_time_ = sim::Time::zero();
-  std::uint64_t anchor_seq_ = 0;
   int batch_planned_ = 0;
-  int batch_limit_ = kMinBatchSlots;
   bool batch_transmit_ = false;
   util::Rng backoff_rng_{0};
   sim::EventId cts_timeout_event_;
   sim::EventId ack_timeout_event_;
-  sim::EventId nav_event_;
   sim::Time nav_until_ = sim::Time::zero();
   std::uint64_t next_seq_ = 0;
   /// Set when the last observed busy period ended in an undecodable frame;
@@ -305,7 +240,7 @@ class Station final : public phy::MediumClient {
   std::uint64_t audit_consumed_ = 0;
   std::uint64_t audit_rewound_ = 0;
   /// Label of the arbiter cohort this station last entered backoff under
-  /// (0: per-station path). Written by ContentionArbiter (friend).
+  /// (0: none yet). Written by ContentionArbiter (friend).
   std::uint64_t cohort_id_ = 0;
   /// The arbiter cohort (NAV, IFS or backoff phase) holding this station
   /// and its slot there, or nullptr; owned by ContentionArbiter (friend).

@@ -2,12 +2,12 @@
 // shared by the trace recorder (per-record tag + enable bitmask) and the
 // phase profiler (per-category event/wall-time buckets).
 //
-// kCatMark is deliberately separate from kCatMedium: incremental
-// interference marking (WLAN_INCR_MEDIUM) legitimately skips corruption
-// marks that nothing will ever read, so mark volume is path-DEPENDENT while
-// every other category is path-invariant. Trace diffs that compare
-// optimised vs legacy paths must mask marks out; everything else must
-// match record-for-record.
+// kCatMark is deliberately separate from kCatMedium: interference marking
+// skips corruption marks that nothing will ever read, so which marks are
+// recorded is an implementation detail that a results-neutral change to
+// the marking may move, while every other category follows the simulated
+// physics. Trace diffs across builds (obs/trace_diff.hpp) should mask
+// marks out; everything else must match record-for-record.
 #pragma once
 
 #include <cstdint>

@@ -1,14 +1,14 @@
 // first_divergence: turn "series hashes differ" into "record 1234 is the
 // first place these two runs disagree". Because trace records carry only
 // simulated time and deterministic detail words, two runs of the same
-// scenario on different code paths (incremental vs legacy marking, cohort
-// vs per-station, batched vs per-slot) must produce IDENTICAL streams for
-// the path-invariant categories — the first differing record is the bug's
+// scenario by two builds that should agree (a change and its base ref, when
+// a golden hash moved) must produce IDENTICAL streams for the categories
+// that follow the physics — the first differing record is the bug's
 // address, not a symptom downstream of it.
 //
-// Compare with kCatMark masked out of both captures when diffing across
-// medium-marking paths: mark volume is legitimately path-dependent
-// (category.hpp explains why).
+// Compare with kCatMark masked out of both captures when the builds mark
+// differently: which unread marks are recorded is an implementation
+// detail (category.hpp explains why).
 #pragma once
 
 #include <cstddef>
@@ -42,7 +42,7 @@ std::string divergence_report(const std::vector<TraceRecord>& a,
                               std::size_t context = 4);
 
 /// Drops records whose category bit is not in `mask` (e.g. mask out
-/// kCatMark before diffing across medium-marking paths).
+/// kCatMark before diffing builds that mark differently).
 std::vector<TraceRecord> filter_categories(
     const std::vector<TraceRecord>& records, std::uint32_t mask);
 

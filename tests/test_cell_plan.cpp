@@ -4,19 +4,23 @@
 //    checks under randomized placements and arbitrary cell sizes;
 //  * the Medium's interference-peer relation matches its four-condition
 //    brute-force definition and is symmetric cell-to-cell (corruption
-//    marks can only flow between mutual peers).
+//    marks can only flow between mutual peers);
+//  * a one-cell plan reduces to the single-BSS layout and build exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "mac/network.hpp"
 #include "phy/geometry.hpp"
 #include "phy/medium.hpp"
 #include "topology/cell_plan.hpp"
+#include "topology/placement.hpp"
 #include "topology/spatial_grid.hpp"
 #include "util/rng.hpp"
 
@@ -314,29 +318,83 @@ void expect_peer_index_exact(const phy::Medium& medium) {
 TEST(CellPlan, PeerIndexMatchesBruteForceAcrossCells) {
   // A 3x3 ESS: peers must span exactly the local neighbourhood — stations
   // of adjacent cells that share a receiver, never the far corners.
-  phy::Medium::set_incremental_override(1);
-  {
-    const auto scenario = exp::ScenarioConfig::multicell(9, 5, 40.0, 6);
-    auto net = exp::build_network(scenario, exp::SchemeConfig::standard());
-    expect_peer_index_exact(net->medium());
-    // Sanity: the relation is genuinely sparse here (an all-pairs peer set
-    // would mean the scenario exercises nothing).
-    const auto row0 = net->medium().interference_peers(net->num_aps());
-    EXPECT_LT(row0.size(), net->medium().num_nodes() - 1);
-  }
-  phy::Medium::set_incremental_override(-1);
+  const auto scenario = exp::ScenarioConfig::multicell(9, 5, 40.0, 6);
+  auto net = exp::build_network(scenario, exp::SchemeConfig::standard());
+  expect_peer_index_exact(net->medium());
+  // Sanity: the relation is genuinely sparse here (an all-pairs peer set
+  // would mean the scenario exercises nothing).
+  const auto row0 = net->medium().interference_peers(net->num_aps());
+  EXPECT_LT(row0.size(), net->medium().num_nodes() - 1);
 }
 
 TEST(CellPlan, PeerIndexMatchesBruteForceUnderShadowing) {
   // Random pairwise shadowing: the decode graph is irregular (not a disc),
   // so the reverse-adjacency unions are the only way to get the rows right.
-  phy::Medium::set_incremental_override(1);
-  {
-    const auto scenario = exp::ScenarioConfig::shadowed(12, 0.4, 8);
-    auto net = exp::build_network(scenario, exp::SchemeConfig::standard());
-    expect_peer_index_exact(net->medium());
+  const auto scenario = exp::ScenarioConfig::shadowed(12, 0.4, 8);
+  auto net = exp::build_network(scenario, exp::SchemeConfig::standard());
+  expect_peer_index_exact(net->medium());
+}
+
+TEST(CellPlan, OneCellPlanMatchesLegacyLayout) {
+  // make_cell_plan with cells == 1 must reproduce the single-BSS layout
+  // draw-for-draw: same stream (0xD15C), AP at the origin, everyone in
+  // cell 0.
+  CellPlanSpec spec;
+  spec.cells = 1;
+  spec.cell_radius = 16.0;
+  spec.placement = CellPlacement::kUniformDisc;
+  const auto plan = topology::make_cell_plan(spec, 10, /*seed=*/42);
+  const auto layout = topology::uniform_disc(10, 16.0, /*seed=*/42);
+  ASSERT_EQ(plan.aps.size(), 1u);
+  EXPECT_EQ(plan.aps[0].x, 0.0);
+  EXPECT_EQ(plan.aps[0].y, 0.0);
+  ASSERT_EQ(plan.stations.size(), layout.stations.size());
+  for (std::size_t i = 0; i < plan.stations.size(); ++i) {
+    EXPECT_EQ(plan.stations[i].x, layout.stations[i].x) << i;
+    EXPECT_EQ(plan.stations[i].y, layout.stations[i].y) << i;
+    EXPECT_EQ(plan.cell_of[i], 0);
+    EXPECT_EQ(plan.placed_in[i], 0);
   }
-  phy::Medium::set_incremental_override(-1);
+}
+
+TEST(CellPlan, OneCellNetworkReducesToSingleApBuild) {
+  // Assembling a one-cell plan through the multi-AP Network path (AP
+  // vector, per-station cell ids) must reproduce the single-AP build
+  // exactly: same node ids, RNG streams, and therefore the same delivered
+  // bits event-for-event.
+  auto scenario = exp::ScenarioConfig::hidden(8, 16.0, 9);
+  const auto scheme = exp::SchemeConfig::standard();
+
+  auto run_bits = [&](mac::Network& net) {
+    net.start();
+    net.run_for(sim::Duration::seconds(0.5));
+    return net.counters().total_bits_delivered();
+  };
+
+  // The historical single-AP assembly in build_network.
+  auto single = exp::build_network(scenario, scheme);
+  const std::int64_t single_bits = run_bits(*single);
+  const std::uint64_t single_succ = single->counters().total_successes();
+
+  // Plan path: the multi-cell assembly, forced onto a one-cell plan.
+  const auto plan = exp::make_plan(scenario);
+  ASSERT_EQ(plan.aps.size(), 1u);
+  auto via_plan = std::make_unique<mac::Network>(
+      scenario.phy, exp::make_propagation(scenario), plan.aps, scenario.seed);
+  for (int i = 0; i < scenario.num_stations; ++i) {
+    via_plan->add_station(plan.stations[static_cast<std::size_t>(i)],
+                          exp::make_strategy(scheme, scenario.phy, i),
+                          plan.cell_of[static_cast<std::size_t>(i)]);
+  }
+  via_plan->set_traffic(scenario.traffic);
+  via_plan->finalize();
+  EXPECT_EQ(via_plan->num_aps(), 1);
+
+  EXPECT_EQ(run_bits(*via_plan), single_bits);
+  EXPECT_EQ(via_plan->counters().total_successes(), single_succ);
+  EXPECT_EQ(via_plan->counters().per_node_mbps(
+                via_plan->measured_duration()),
+            single->counters().per_node_mbps(single->measured_duration()));
 }
 
 }  // namespace

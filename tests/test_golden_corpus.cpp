@@ -1,9 +1,7 @@
 // Golden series-hash corpus: seeded random scenarios whose run hashes were
-// recorded once and are checked in (tests/golden_corpus_hashes.inc). The
-// differential suites compare two event paths of the SAME build, so a slip
-// shared by both — the medium's carrier-sense bookkeeping, which every path
-// goes through — passes them unnoticed. This corpus pins the absolute
-// results instead.
+// recorded once and are checked in (tests/golden_corpus_hashes.inc). They
+// pin the absolute results of the one contention and marking path the
+// simulator has (see golden_hash.hpp for how the tables were proven).
 //
 // Axes: topology (connected, ESS multi-cell, hidden, shadowed) x scheme
 // (standard, wTOP, TORA, IdleSense, fixed-p) x traffic (saturated,
@@ -16,6 +14,7 @@
 // scenario in the failing chunk; paste them into the .inc file.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
@@ -24,8 +23,8 @@
 
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "golden_hash.hpp"
 #include "mac/network.hpp"
-#include "mac/station.hpp"
 #include "obs/audit.hpp"
 #include "util/fnv.hpp"
 
@@ -132,34 +131,7 @@ CorpusCase make_case(int index) {
   return c;
 }
 
-void hash_series(const stats::TimeSeries& s, util::Fnv1a& h) {
-  for (const auto& sample : s.samples()) {
-    h.mix_double_word(sample.t_seconds);
-    h.mix_double_word(sample.value);
-  }
-}
-
-/// The hash_run shape of tests/test_contention_arbiter.cpp, plus the
-/// traffic and attempt-probability scalars.
-std::uint64_t hash_result(const exp::RunResult& r) {
-  util::Fnv1a h;
-  hash_series(r.throughput_series, h);
-  hash_series(r.control_series, h);
-  hash_series(r.stage_series, h);
-  hash_series(r.active_nodes_series, h);
-  hash_series(r.queue_series, h);
-  h.mix_double_word(r.total_mbps);
-  for (double v : r.per_station_mbps) h.mix_double_word(v);
-  h.mix_double_word(r.ap_avg_idle_slots);
-  h.mix_double_word(r.mean_attempt_probability);
-  h.mix_double_word(static_cast<double>(r.successes));
-  h.mix_double_word(static_cast<double>(r.failures));
-  h.mix_double_word(static_cast<double>(r.packets_offered));
-  h.mix_double_word(static_cast<double>(r.packets_dropped));
-  h.mix_double_word(r.mean_delay_s);
-  h.mix_double_word(r.drop_rate);
-  return h.digest();
-}
+using golden::hash_result;
 
 std::uint64_t run_case(const CorpusCase& c) {
   if (c.dynamic) {
@@ -179,9 +151,7 @@ std::uint64_t run_case(const CorpusCase& c) {
   return hash_result(exp::run_scenario(c.scenario, c.scheme, opts));
 }
 
-/// Replays one chunk of the corpus. Every fifth scenario is also replayed
-/// on the per-station event path (WLAN_COHORT=0), which must land on the
-/// same recorded hash.
+/// Replays one chunk of the corpus.
 void replay_chunk(int chunk) {
   std::string replacement;
   bool mismatch = false;
@@ -197,13 +167,6 @@ void replay_chunk(int chunk) {
     if (got != kGolden[i].hash) {
       mismatch = true;
       ADD_FAILURE() << "scenario " << c.label << ": hash changed";
-    }
-    if (i % 5 == 0) {
-      mac::Station::set_cohort_override(0);
-      const std::uint64_t per_station = run_case(c);
-      mac::Station::set_cohort_override(-1);
-      EXPECT_EQ(per_station, kGolden[i].hash)
-          << "scenario " << c.label << ": per-station path";
     }
   }
   if (mismatch) ADD_FAILURE() << "replacement lines:\n" << replacement;
@@ -232,14 +195,13 @@ TEST(GoldenCorpus, CoversEveryAxis) {
 
 // --- Audit soak -----------------------------------------------------------
 //
-// Every fourth corpus scenario, stepped event by event on the default
-// (sensing-domain, cohort) path with the conservation auditors in throw
-// mode, checked every 16 events: the per-node sensed counts the medium
-// derives from its domain counts against a brute-force recount, the
-// per-node airtime split against elapsed time, and backoff-draw
-// conservation per station. The corpus replay itself then runs with the
-// auditors attached at every sample point and must still land on the
-// recorded hashes.
+// Every fourth corpus scenario, stepped event by event with the
+// conservation auditors in throw mode, checked every 16 events: the
+// per-node sensed counts the medium derives from its domain counts
+// against a brute-force recount, the per-node airtime split against
+// elapsed time, and backoff-draw conservation per station. The corpus
+// replay itself then runs with the auditors attached at every sample
+// point and must still land on the recorded hashes.
 
 struct AuditGuard {
   explicit AuditGuard(int v) { obs::AuditSet::set_override(v); }
@@ -283,7 +245,7 @@ TEST(GoldenCorpus, AuditThrowModeReplayKeepsHashes) {
 // station's idle-slot meter, every node's airtime split and sensed count.
 // Those are pinned by a second recorded table (tests/
 // golden_state_hashes.inc, every third non-dynamic scenario, 0.2 s from
-// start) on both the cohort and the per-station path.
+// start).
 
 constexpr GoldenEntry kGoldenState[] = {
 #include "golden_state_hashes.inc"
@@ -322,15 +284,10 @@ TEST(GoldenCorpus, PerNodeStateMatchesRecording) {
   for (int i = 0; i < kScenarios; i += 3) {
     const CorpusCase c = make_case(i);
     if (c.dynamic) continue;
-    auto run = [&](int cohort) {
-      mac::Station::set_cohort_override(cohort);
-      auto net = exp::build_network(c.scenario, c.scheme);
-      mac::Station::set_cohort_override(-1);
-      net->start();
-      net->run_for(sim::Duration::seconds(0.2));
-      return hash_state(*net);
-    };
-    const std::uint64_t got = run(1);
+    auto net = exp::build_network(c.scenario, c.scheme);
+    net->start();
+    net->run_for(sim::Duration::seconds(0.2));
+    const std::uint64_t got = hash_state(*net);
     char line[96];
     std::snprintf(line, sizeof line, "{%d, 0x%016llxULL},  // ", i,
                   static_cast<unsigned long long>(got));
@@ -343,11 +300,104 @@ TEST(GoldenCorpus, PerNodeStateMatchesRecording) {
       mismatch = true;
       ADD_FAILURE() << "scenario " << c.label << ": per-node state changed";
     }
-    EXPECT_EQ(run(0), want) << "scenario " << c.label << ": per-station path";
   }
   EXPECT_EQ(next, std::size(kGoldenState)) << "unused recorded entries";
   EXPECT_GT(next, 50u);
   if (mismatch) ADD_FAILURE() << "replacement lines:\n" << replacement;
+}
+
+// --- Driver-shaped points ---------------------------------------------------
+//
+// Short points of the bench drivers whose CSVs CI once byte-compared
+// across the per-slot, per-station and full-scan paths: each driver's own
+// scenario and scheme construction, run for less simulated time, checked
+// against golden_path_hashes.inc.
+
+exp::RunOptions driver_options() {
+  exp::RunOptions opts;
+  opts.warmup = sim::Duration::seconds(0.2);
+  opts.measure = sim::Duration::seconds(0.8);
+  opts.sample_period = sim::Duration::seconds(0.1);
+  opts.record_series = true;
+  return opts;
+}
+
+TEST(GoldenCorpus, DriverFig04HiddenPPersistentPoint) {
+  // fig04_ppersistent_hidden_curve: fixed p = exp(-4.9), a point of the
+  // fast log(p) grid near the curve's peak.
+  for (const int n : {20, 40}) {
+    golden::expect_run("fig04 hidden n=" + std::to_string(n) + " r=16 seed=1",
+                       ScenarioConfig::hidden(n, 16.0, 1),
+                       SchemeConfig::fixed_p_persistent(std::exp(-4.9)),
+                       driver_options());
+  }
+}
+
+TEST(GoldenCorpus, DriverFig0809DynamicWtop) {
+  // fig08_09_wtop_dynamic: 60 stations, population 10 -> 40 -> 20 -> 60,
+  // connected and hidden.
+  const std::vector<exp::PopulationStep> schedule{
+      {0.0, 10}, {0.4, 40}, {0.8, 20}, {1.2, 60}};
+  golden::expect_golden(
+      "fig08_09 dynamic connected n=60 wTOP",
+      exp::run_dynamic(ScenarioConfig::connected(60, 1),
+                       SchemeConfig::wtop_csma(), schedule,
+                       sim::Duration::seconds(1.6),
+                       sim::Duration::seconds(0.1)));
+  golden::expect_golden(
+      "fig08_09 dynamic hidden n=60 r=16 wTOP",
+      exp::run_dynamic(ScenarioConfig::hidden(60, 16.0, 1),
+                       SchemeConfig::wtop_csma(), schedule,
+                       sim::Duration::seconds(1.6),
+                       sim::Duration::seconds(0.1)));
+}
+
+TEST(GoldenCorpus, DriverRtsCtsHiddenRts) {
+  // ext_rtscts_tradeoff: hidden RTS/CTS column, where NAV cohorts expire
+  // most (RTS reservations whose CTS never comes).
+  auto scenario = ScenarioConfig::hidden(20, 16.0, 1);
+  scenario.phy.rts_threshold_bits = 0;
+  for (const auto& scheme :
+       {SchemeConfig::standard(), SchemeConfig::tora_csma()}) {
+    golden::expect_run("rtscts hidden n=20 r=16 seed=1 rts", scenario, scheme,
+                       driver_options());
+  }
+}
+
+TEST(GoldenCorpus, DriverFig07HiddenR20Tora) {
+  // fig07_hidden_r20_comparison: TORA-CSMA on the r = 20 disc, where rows
+  // are cut short by hidden starts.
+  for (const int n : {20, 40}) {
+    golden::expect_run("fig07 hidden n=" + std::to_string(n) + " r=20 seed=1",
+                       ScenarioConfig::hidden(n, 20.0, 1),
+                       SchemeConfig::tora_csma(), driver_options());
+  }
+}
+
+TEST(GoldenCorpus, DriverLoadDelayDcfPoisson) {
+  // ext_load_delay_curve: standard DCF (the checkpoint/restore path) on 10
+  // connected stations with Poisson arrivals, below and near the knee.
+  for (const double load : {1.6, 2.8}) {
+    auto scenario = ScenarioConfig::connected(10, 1);
+    scenario.traffic = traffic::TrafficConfig::poisson(load);
+    golden::expect_run("load_delay connected n=10 poisson " +
+                           std::to_string(load),
+                       scenario, SchemeConfig::standard(), driver_options());
+  }
+}
+
+TEST(GoldenCorpus, DriverMulticellPlanWithCapture) {
+  // ext_multicell_scaling: the 4 x 25 plan of the perf table (capture on,
+  // as multicell() sets it) and the 4 x 10 science plan under both schemes.
+  golden::expect_run("multicell 4x25 seed=1",
+                     ScenarioConfig::multicell(4, 25, 40.0, 1),
+                     SchemeConfig::standard(), driver_options());
+  for (const auto& scheme :
+       {SchemeConfig::standard(), SchemeConfig::wtop_csma()}) {
+    golden::expect_run("multicell 4x10 seed=1",
+                       ScenarioConfig::multicell(4, 10, 40.0, 1), scheme,
+                       driver_options());
+  }
 }
 
 TEST(GoldenCorpus, Chunk0) { replay_chunk(0); }

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "util/rng.hpp"
 
@@ -143,6 +144,10 @@ struct SyntheticCase {
   double (*fn)(double);
   bool log_space;
 };
+
+// gtest prints test parameters into the test names; without this it would
+// print the raw bytes, including the function pointer's address.
+void PrintTo(const SyntheticCase& c, std::ostream* os) { *os << c.name; }
 
 double quadratic(double x) { return 10.0 - 100.0 * (x - 0.3) * (x - 0.3); }
 double asymmetric(double x) {

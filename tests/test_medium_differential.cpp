@@ -1,144 +1,40 @@
-// Differential tests for incremental interference marking: the incremental
-// path (WLAN_INCR_MEDIUM=1, the default — CSR adjacency + peer index +
-// decode-mask pre-filtering in phy::Medium) must reproduce the legacy full
-// active-list scan bit-for-bit, across topologies, schemes, RTS/CTS,
-// traffic mixes, capture, and multi-cell (ESS) scenarios — while actually
-// scanning fewer pairs. Also pins the single-cell reduction: a one-cell
-// CellPlan assembled through the multi-AP Network path reproduces the
-// legacy single-AP build exactly.
+// Interference-marking scenarios (CSR adjacency + peer index + decode-mask
+// pre-filtering in phy::Medium) across topologies, schemes, RTS/CTS,
+// traffic mixes, capture, and multi-cell (ESS) scenarios. Each run is
+// checked against a hash recorded while the full active-list scan still
+// ran beside the peer-index path and matched it bit for bit
+// (golden_path_hashes.inc). The suite also checks that the peer index
+// actually scans few pairs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
+#include "golden_hash.hpp"
 #include "mac/network.hpp"
-#include "obs/trace.hpp"
-#include "obs/trace_diff.hpp"
 #include "phy/medium.hpp"
-#include "topology/cell_plan.hpp"
-#include "topology/placement.hpp"
-#include "util/env.hpp"
-#include "util/fnv.hpp"
 
 namespace {
 
 using namespace wlan;
 using exp::ScenarioConfig;
 using exp::SchemeConfig;
-
-/// Scoped override of the WLAN_INCR_MEDIUM knob (latched from the
-/// environment otherwise, which would pin a whole test process to one
-/// path). New Medium instances latch the override at construction.
-struct MediumPathGuard {
-  explicit MediumPathGuard(int incremental) {
-    phy::Medium::set_incremental_override(incremental);
-  }
-  ~MediumPathGuard() { phy::Medium::set_incremental_override(-1); }
-};
-
-/// FNV-1a (shared core: util::Fnv1a) over the bit patterns of a series'
-/// samples — the same construction as the cohort differential tests.
-void hash_series(const stats::TimeSeries& s, util::Fnv1a& h) {
-  for (const auto& sample : s.samples()) {
-    h.mix_double_word(sample.t_seconds);
-    h.mix_double_word(sample.value);
-  }
-}
-
-std::uint64_t hash_run(const exp::RunResult& r) {
-  util::Fnv1a h;
-  hash_series(r.throughput_series, h);
-  hash_series(r.control_series, h);
-  hash_series(r.stage_series, h);
-  hash_series(r.active_nodes_series, h);
-  h.mix_double_word(r.total_mbps);
-  for (double v : r.per_station_mbps) h.mix_double_word(v);
-  h.mix_double_word(r.ap_avg_idle_slots);
-  h.mix_double_word(static_cast<double>(r.successes));
-  h.mix_double_word(static_cast<double>(r.failures));
-  h.mix_double_word(r.mean_delay_s);
-  h.mix_double_word(r.drop_rate);
-  for (int src : r.success_sources)
-    h.mix_u64_word(static_cast<std::uint64_t>(src));
-  return h.digest();
-}
-
-exp::RunOptions series_options(double measure_s = 0.4) {
-  exp::RunOptions opts;
-  opts.warmup = sim::Duration::seconds(0.1);
-  opts.measure = sim::Duration::seconds(measure_s);
-  opts.sample_period = sim::Duration::seconds(0.05);
-  opts.record_series = true;  // also bypasses the run cache
-  return opts;
-}
-
-/// On a hash mismatch, re-runs both marking paths with event tracing and
-/// reports the FIRST event where the two simulations diverge — turning "two
-/// 64-bit hashes differ" into "t=1.234s medium tx_start node=7 ...". The
-/// trace mask deliberately excludes kCatMark: the incremental path
-/// legitimately skips marks no decodable receiver can observe, so mark
-/// records differ between paths even when the physics agree.
-void report_first_divergence(const ScenarioConfig& scenario,
-                             const SchemeConfig& scheme,
-                             const exp::RunOptions& opts) {
-  constexpr unsigned kMask =
-      obs::category_bit(obs::kCatMedium) | obs::category_bit(obs::kCatStation);
-  obs::TraceCapture incr_cap, legacy_cap;
-  incr_cap.mask = legacy_cap.mask = kMask;
-  exp::RunOptions traced = opts;
-  {
-    MediumPathGuard guard(1);
-    traced.trace = &incr_cap;
-    exp::run_scenario(scenario, scheme, traced);
-  }
-  {
-    MediumPathGuard guard(0);
-    traced.trace = &legacy_cap;
-    exp::run_scenario(scenario, scheme, traced);
-  }
-  ADD_FAILURE() << "first trace divergence (incremental=a, legacy=b):\n"
-                << obs::divergence_report(incr_cap.records,
-                                          legacy_cap.records);
-}
-
-/// Runs the scenario under both marking paths and asserts bit-identical
-/// series hashes plus exact equality of the headline scalars.
-void expect_paths_identical(const ScenarioConfig& scenario,
-                            const SchemeConfig& scheme,
-                            const exp::RunOptions& opts) {
-  exp::RunResult incremental, legacy;
-  {
-    MediumPathGuard guard(1);
-    incremental = exp::run_scenario(scenario, scheme, opts);
-  }
-  {
-    MediumPathGuard guard(0);
-    legacy = exp::run_scenario(scenario, scheme, opts);
-  }
-  EXPECT_EQ(hash_run(incremental), hash_run(legacy))
-      << scheme.name() << ": incremental vs legacy marking";
-  if (hash_run(incremental) != hash_run(legacy))
-    report_first_divergence(scenario, scheme, opts);
-  EXPECT_EQ(incremental.total_mbps, legacy.total_mbps);
-  EXPECT_EQ(incremental.successes, legacy.successes);
-  EXPECT_EQ(incremental.failures, legacy.failures);
-  EXPECT_EQ(incremental.per_station_mbps, legacy.per_station_mbps);
-  EXPECT_EQ(incremental.success_sources, legacy.success_sources);
-}
+using golden::expect_run;
+using golden::series_options;
 
 TEST(MediumDifferential, ConnectedTopologyAllSchemesBitIdentical) {
   // Fully connected: everyone is everyone's interference peer, so the
-  // peer index degenerates to the full active list — the paths must still
-  // agree on iteration order (CSR rows are ascending like active_ never
-  // is, so delivery order is the real thing under test).
+  // peer index degenerates to the full active list; CSR rows are
+  // ascending, so delivery order is the real thing under test.
   for (std::uint64_t seed : {1u, 7u}) {
     const auto scenario = ScenarioConfig::connected(12, seed);
     for (const auto& scheme :
          {SchemeConfig::standard(), SchemeConfig::wtop_csma(),
           SchemeConfig::tora_csma(), SchemeConfig::idle_sense_scheme()}) {
-      expect_paths_identical(scenario, scheme, series_options());
+      expect_run("connected n=12 seed=" + std::to_string(seed), scenario,
+                 scheme, series_options());
     }
   }
 }
@@ -153,7 +49,8 @@ TEST(MediumDifferential, HiddenTopologyAllSchemesBitIdentical) {
     for (const auto& scheme :
          {SchemeConfig::standard(), SchemeConfig::wtop_csma(),
           SchemeConfig::tora_csma(), SchemeConfig::idle_sense_scheme()}) {
-      expect_paths_identical(scenario, scheme, series_options());
+      expect_run("hidden n=10 r=16 seed=" + std::to_string(seed), scenario,
+                 scheme, series_options());
     }
   }
 }
@@ -163,10 +60,10 @@ TEST(MediumDifferential, ShadowedTopologyBitIdentical) {
   // CSR adjacency rows are irregular and the grid pre-filter must not
   // drop any shadow-surviving pair.
   const auto scenario = ScenarioConfig::shadowed(8, 0.3, 5);
-  expect_paths_identical(scenario, SchemeConfig::standard(),
-                         series_options());
-  expect_paths_identical(scenario, SchemeConfig::wtop_csma(),
-                         series_options());
+  expect_run("shadowed n=8 seed=5", scenario, SchemeConfig::standard(),
+             series_options());
+  expect_run("shadowed n=8 seed=5", scenario, SchemeConfig::wtop_csma(),
+             series_options());
 }
 
 TEST(MediumDifferential, RtsCtsExchangesBitIdentical) {
@@ -174,10 +71,10 @@ TEST(MediumDifferential, RtsCtsExchangesBitIdentical) {
   // CTS timeouts depend on exactly which frames got corrupted.
   auto scenario = ScenarioConfig::hidden(8, 16.0, 6);
   scenario.phy.rts_threshold_bits = 0;  // every data frame uses RTS/CTS
-  expect_paths_identical(scenario, SchemeConfig::standard(),
-                         series_options());
-  expect_paths_identical(scenario, SchemeConfig::tora_csma(),
-                         series_options());
+  expect_run("hidden n=8 r=16 seed=6 rts", scenario, SchemeConfig::standard(),
+             series_options());
+  expect_run("hidden n=8 r=16 seed=6 rts", scenario,
+             SchemeConfig::tora_csma(), series_options());
 }
 
 TEST(MediumDifferential, TrafficMixesBitIdentical) {
@@ -185,40 +82,40 @@ TEST(MediumDifferential, TrafficMixesBitIdentical) {
   // runs against sparse active sets (the transmitting_[] skip path).
   auto poisson = ScenarioConfig::connected(8, 2);
   poisson.traffic = traffic::TrafficConfig::poisson(1.0);
-  expect_paths_identical(poisson, SchemeConfig::standard(),
-                         series_options(0.6));
+  expect_run("connected n=8 seed=2 poisson", poisson,
+             SchemeConfig::standard(), series_options(0.6));
   auto onoff = ScenarioConfig::hidden(8, 16.0, 4);
   onoff.traffic = traffic::TrafficConfig::on_off(2.0, 0.01, 0.03);
-  expect_paths_identical(onoff, SchemeConfig::standard(),
-                         series_options(0.6));
+  expect_run("hidden n=8 r=16 seed=4 on-off", onoff, SchemeConfig::standard(),
+             series_options(0.6));
 }
 
 TEST(MediumDifferential, MulticellAllSchemesBitIdentical) {
-  // The ESS case the incremental path exists for: many cells, finite
-  // decode discs, capture enabled (multicell() sets capture_ratio = 4) —
-  // the masked path must skip exactly the capture checks whose outcome no
+  // The ESS case the peer index exists for: many cells, finite decode
+  // discs, capture enabled (multicell() sets capture_ratio = 4) — the
+  // masked pass must skip exactly the capture checks whose outcome no
   // decodable receiver can observe.
   const auto scenario = ScenarioConfig::multicell(4, 6, /*spacing=*/40.0, 1);
   for (const auto& scheme :
        {SchemeConfig::standard(), SchemeConfig::wtop_csma(),
         SchemeConfig::tora_csma(), SchemeConfig::idle_sense_scheme()}) {
-    expect_paths_identical(scenario, scheme, series_options());
+    expect_run("multicell 4x6 seed=1", scenario, scheme, series_options());
   }
   // A larger, sparser plan: 9 cells on a 3x3 grid — inter-cell hidden
   // pairs dominate and most peer rows are small.
-  expect_paths_identical(ScenarioConfig::multicell(9, 4, 40.0, 2),
-                         SchemeConfig::standard(), series_options());
+  expect_run("multicell 9x4 seed=2", ScenarioConfig::multicell(9, 4, 40.0, 2),
+             SchemeConfig::standard(), series_options());
 }
 
 TEST(MediumDifferential, MulticellRtsCtsAndTrafficBitIdentical) {
   auto scenario = ScenarioConfig::multicell(4, 5, 40.0, 3);
   scenario.phy.rts_threshold_bits = 0;
-  expect_paths_identical(scenario, SchemeConfig::standard(),
-                         series_options());
+  expect_run("multicell 4x5 seed=3 rts", scenario, SchemeConfig::standard(),
+             series_options());
   auto bursty = ScenarioConfig::multicell(4, 5, 40.0, 4);
   bursty.traffic = traffic::TrafficConfig::poisson(2.0);
-  expect_paths_identical(bursty, SchemeConfig::standard(),
-                         series_options(0.6));
+  expect_run("multicell 4x5 seed=4 poisson", bursty, SchemeConfig::standard(),
+             series_options(0.6));
 }
 
 TEST(MediumDifferential, ShadowedMulticellBitIdentical) {
@@ -226,17 +123,17 @@ TEST(MediumDifferential, ShadowedMulticellBitIdentical) {
   // pairs, so peer rows and decode masks are irregular across cells.
   auto scenario = ScenarioConfig::multicell(4, 5, 40.0, 7);
   scenario.shadow_probability = 0.3;
-  expect_paths_identical(scenario, SchemeConfig::standard(),
-                         series_options());
+  expect_run("multicell 4x5 seed=7 shadowed", scenario,
+             SchemeConfig::standard(), series_options());
 }
 
 TEST(MediumDifferential, MulticellWithoutCaptureBitIdentical) {
   // capture_ratio = 0 removes the rx-power comparison entirely — the
-  // masked path must not depend on capture for its receiver filtering.
+  // masked pass must not depend on capture for its receiver filtering.
   auto scenario = ScenarioConfig::multicell(4, 6, 40.0, 5);
   scenario.phy.capture_ratio = 0.0;
-  expect_paths_identical(scenario, SchemeConfig::standard(),
-                         series_options());
+  expect_run("multicell 4x6 seed=5 no-capture", scenario,
+             SchemeConfig::standard(), series_options());
 }
 
 TEST(MediumDifferential, DynamicActivationBitIdentical) {
@@ -249,143 +146,31 @@ TEST(MediumDifferential, DynamicActivationBitIdentical) {
   const auto sample = sim::Duration::seconds(0.05);
   for (const auto& scheme :
        {SchemeConfig::standard(), SchemeConfig::wtop_csma()}) {
-    exp::RunResult incremental, legacy;
-    {
-      MediumPathGuard guard(1);
-      incremental =
-          exp::run_dynamic(scenario, scheme, schedule, total, sample);
-    }
-    {
-      MediumPathGuard guard(0);
-      legacy = exp::run_dynamic(scenario, scheme, schedule, total, sample);
-    }
-    EXPECT_EQ(hash_run(incremental), hash_run(legacy)) << scheme.name();
+    golden::expect_golden(
+        "dynamic connected n=10 10-3-8-10 " + scheme.name(),
+        exp::run_dynamic(scenario, scheme, schedule, total, sample));
   }
-}
-
-TEST(MediumDifferential, OverrideForcesPathAtConstruction) {
-  // The override wins over the environment and is latched per instance:
-  // a Medium built under override 0 stays legacy after the override is
-  // restored.
-  {
-    MediumPathGuard guard(0);
-    EXPECT_FALSE(phy::Medium::incremental_enabled());
-    auto net = exp::build_network(ScenarioConfig::connected(4, 1),
-                                  SchemeConfig::standard());
-    EXPECT_FALSE(net->medium().incremental());
-    phy::Medium::set_incremental_override(1);
-    EXPECT_TRUE(phy::Medium::incremental_enabled());
-    EXPECT_FALSE(net->medium().incremental());  // latched at construction
-  }
-  // Guard restored -1: back to whatever the environment says (the whole
-  // suite is run under both WLAN_INCR_MEDIUM settings in CI).
-  EXPECT_EQ(phy::Medium::incremental_enabled(),
-            util::env_bool("WLAN_INCR_MEDIUM", true));
-}
-
-TEST(MediumDifferential, LegacyMediumHasNoPeerIndex) {
-  MediumPathGuard guard(0);
-  auto net = exp::build_network(ScenarioConfig::hidden(6, 16.0, 2),
-                                SchemeConfig::standard());
-  EXPECT_FALSE(net->medium().has_peer_index());
-  EXPECT_TRUE(net->medium().interference_peers(1).empty());
 }
 
 TEST(MediumDifferential, IncrementalPathActuallyScansFewer) {
-  // Guard against the fast path silently degrading to the legacy scan:
-  // on a multi-cell scenario the peer index must engage and the pair-scan
-  // counter must drop by a wide margin for the same simulated run.
+  // Guard against the peer index silently degrading to an in-flight scan:
+  // on a multi-cell scenario it must engage and keep the pair and check
+  // counts per started transmission low. 9 cells x 6 stations, 0.5 s: the
+  // peer index scans 0.143 pairs and 1.43 receiver checks per started
+  // transmission; the full active-list scan it replaced scanned 7.36 and
+  // 88.3 for the same run.
   const auto scenario = ScenarioConfig::multicell(9, 6, 40.0, 1);
-  const auto scheme = SchemeConfig::standard();
-  std::uint64_t incr_pairs = 0, legacy_pairs = 0;
-  std::int64_t incr_bits = 0, legacy_bits = 0;
-  {
-    MediumPathGuard guard(1);
-    auto net = exp::build_network(scenario, scheme);
-    EXPECT_TRUE(net->medium().incremental());
-    EXPECT_TRUE(net->medium().has_peer_index());
-    net->start();
-    net->run_for(sim::Duration::seconds(0.5));
-    incr_pairs = net->medium().marking_pairs_scanned();
-    incr_bits = net->counters().total_bits_delivered();
-  }
-  {
-    MediumPathGuard guard(0);
-    auto net = exp::build_network(scenario, scheme);
-    EXPECT_FALSE(net->medium().incremental());
-    EXPECT_FALSE(net->medium().has_peer_index());
-    net->start();
-    net->run_for(sim::Duration::seconds(0.5));
-    legacy_pairs = net->medium().marking_pairs_scanned();
-    legacy_bits = net->counters().total_bits_delivered();
-  }
-  EXPECT_EQ(incr_bits, legacy_bits);
-  EXPECT_GT(legacy_pairs, 0u);
-  // 9 cells at spacing 40 with sense 24: most cells are out of each
-  // other's interference range entirely.
-  EXPECT_LT(incr_pairs * 2, legacy_pairs);
-}
-
-TEST(MediumDifferential, OneCellPlanMatchesLegacyLayout) {
-  // make_cell_plan with cells == 1 must reproduce the single-BSS layout
-  // draw-for-draw: same stream (0xD15C), AP at the origin, everyone in
-  // cell 0.
-  topology::CellPlanSpec spec;
-  spec.cells = 1;
-  spec.cell_radius = 16.0;
-  spec.placement = topology::CellPlacement::kUniformDisc;
-  const auto plan = topology::make_cell_plan(spec, 10, /*seed=*/42);
-  const auto layout = topology::uniform_disc(10, 16.0, /*seed=*/42);
-  ASSERT_EQ(plan.aps.size(), 1u);
-  EXPECT_EQ(plan.aps[0].x, 0.0);
-  EXPECT_EQ(plan.aps[0].y, 0.0);
-  ASSERT_EQ(plan.stations.size(), layout.stations.size());
-  for (std::size_t i = 0; i < plan.stations.size(); ++i) {
-    EXPECT_EQ(plan.stations[i].x, layout.stations[i].x) << i;
-    EXPECT_EQ(plan.stations[i].y, layout.stations[i].y) << i;
-    EXPECT_EQ(plan.cell_of[i], 0);
-    EXPECT_EQ(plan.placed_in[i], 0);
-  }
-}
-
-TEST(MediumDifferential, OneCellNetworkReducesToSingleApBuild) {
-  // Assembling a one-cell plan through the multi-AP Network path (AP
-  // vector, per-station cell ids) must reproduce the legacy single-AP
-  // build exactly: same node ids, RNG streams, and therefore the same
-  // delivered bits event-for-event.
-  auto scenario = ScenarioConfig::hidden(8, 16.0, 9);
-  const auto scheme = SchemeConfig::standard();
-
-  auto run_bits = [&](mac::Network& net) {
-    net.start();
-    net.run_for(sim::Duration::seconds(0.5));
-    return net.counters().total_bits_delivered();
-  };
-
-  // Legacy: the historical single-AP assembly in build_network.
-  auto legacy = exp::build_network(scenario, scheme);
-  const std::int64_t legacy_bits = run_bits(*legacy);
-  const std::uint64_t legacy_succ = legacy->counters().total_successes();
-
-  // Plan path: the multi-cell assembly, forced onto a one-cell plan.
-  const auto plan = exp::make_plan(scenario);
-  ASSERT_EQ(plan.aps.size(), 1u);
-  auto via_plan = std::make_unique<mac::Network>(
-      scenario.phy, exp::make_propagation(scenario), plan.aps, scenario.seed);
-  for (int i = 0; i < scenario.num_stations; ++i) {
-    via_plan->add_station(plan.stations[static_cast<std::size_t>(i)],
-                          exp::make_strategy(scheme, scenario.phy, i),
-                          plan.cell_of[static_cast<std::size_t>(i)]);
-  }
-  via_plan->set_traffic(scenario.traffic);
-  via_plan->finalize();
-  EXPECT_EQ(via_plan->num_aps(), 1);
-
-  EXPECT_EQ(run_bits(*via_plan), legacy_bits);
-  EXPECT_EQ(via_plan->counters().total_successes(), legacy_succ);
-  EXPECT_EQ(via_plan->counters().per_node_mbps(
-                via_plan->measured_duration()),
-            legacy->counters().per_node_mbps(legacy->measured_duration()));
+  auto net = exp::build_network(scenario, SchemeConfig::standard());
+  EXPECT_TRUE(net->medium().has_peer_index());
+  net->start();
+  net->run_for(sim::Duration::seconds(0.5));
+  const phy::Medium& m = net->medium();
+  const auto tx = static_cast<double>(m.transmissions_started());
+  ASSERT_GT(tx, 0.0);
+  EXPECT_LT(static_cast<double>(m.marking_pairs_scanned()) / tx, 1.0)
+      << "pairs=" << m.marking_pairs_scanned() << " tx=" << tx;
+  EXPECT_LT(static_cast<double>(m.interference_checks()) / tx, 10.0)
+      << "checks=" << m.interference_checks() << " tx=" << tx;
 }
 
 }  // namespace
