@@ -37,19 +37,6 @@
 #                       the next run, byte-identically. Opt-in, with the
 #                       same staleness-across-rebuilds caveat as
 #                       WLAN_RUN_CACHE.
-#   WLAN_SWEEP_PROCS    shard processes per sweep (src/exp/shard.hpp): > 1
-#                       fans each driver's sweeps across supervised child
-#                       processes, so a SIGSEGV or hard hang in one job
-#                       cannot take the driver down — crashed shards are
-#                       respawned from the journal, poison jobs quarantined,
-#                       and the folded CSV stays byte-identical to an
-#                       in-process run. When set > 1 without a journal,
-#                       this script defaults WLAN_SWEEP_JOURNAL to
-#                       <build>/results/sweep_journal so shard respawns
-#                       resume instead of recomputing (the supervisor would
-#                       otherwise fall back to a throwaway scratch journal).
-#                       Tuning: WLAN_SHARD_CRASH_LIMIT, WLAN_SHARD_STALL_MS,
-#                       WLAN_SHARD_POLL_MS (docs/REPRODUCING.md).
 #   WLAN_RUN_CACHE_MAX_MB  size bound on the run-cache directory in MiB;
 #                       the oldest entries are pruned when a process first
 #                       opens the cache. 0/unset = unbounded.
@@ -92,18 +79,6 @@ if [[ -z ${WLAN_RUN_CACHE+x} ]]; then
   if [[ -z ${WLAN_RUN_CACHE_KEEP:-} ]]; then
     rm -rf "${WLAN_RUN_CACHE}"
   fi
-fi
-
-# Multi-process sweeps want a persistent journal: it is both the shard IPC
-# substrate and what makes a respawned (or re-run) shard resume instead of
-# recompute. Only the combination "procs requested, no journal chosen" is
-# defaulted — a caller's own WLAN_SWEEP_JOURNAL always wins, and without
-# WLAN_SWEEP_PROCS nothing changes.
-if [[ ${WLAN_SWEEP_PROCS:-1} =~ ^[0-9]+$ ]] \
-   && [[ ${WLAN_SWEEP_PROCS:-1} -gt 1 && -z ${WLAN_SWEEP_JOURNAL+x} ]]; then
-  export WLAN_SWEEP_JOURNAL="${results_dir}/sweep_journal"
-  echo "[run_all] WLAN_SWEEP_PROCS=${WLAN_SWEEP_PROCS}:" \
-       "defaulting WLAN_SWEEP_JOURNAL=${WLAN_SWEEP_JOURNAL}"
 fi
 
 shopt -s nullglob

@@ -2,11 +2,9 @@
 //
 // JobError is the structured record run_sweep's job guard produces when a
 // sweep job fails for good: an exception or watchdog timeout that survived
-// every retry, or — in multi-process mode — a poison job the shard
-// supervisor quarantined after it crashed its shard repeatedly. It
-// replaces the pre-PR-8 behaviour (the thread pool's lowest-lane rethrow
-// aborting the whole sweep) — a 10'000-job grid with one sick point now
-// finishes 9'999 jobs and reports the sick one.
+// every retry. It replaces the pre-PR-8 behaviour (the thread pool's
+// lowest-lane rethrow aborting the whole sweep) — a 10'000-job grid with
+// one sick point now finishes 9'999 jobs and reports the sick one.
 //
 // FaultStats are the process-wide exp.fault.* counters surfaced through
 // the obs metrics registry (obs::add_fault_metrics), following the same
@@ -14,18 +12,12 @@
 //
 // FaultPlan is a TEST-ONLY deterministic fault injector: the kill/resume
 // differential suites install a plan naming job indices that must throw,
-// exceed their watchdog, crash the whole process, hang forever, or have
-// their freshly written journal entry corrupted — so crash/recovery paths
-// are exercised bit-reproducibly without real signals. Production code
-// never installs a plan; the check is one relaxed atomic load per job
-// attempt. Because a programmatic plan cannot cross an exec boundary, the
-// same sites can be armed via the environment (WLAN_FAULT_PLAN, parsed per
-// process) with an optional WLAN_FAULT_DIR marker directory giving the
-// `times` budget cross-process semantics — that is how the shard chaos
-// suites make exactly one child crash and its respawn succeed.
+// exceed their watchdog, or have their freshly written journal entry
+// corrupted — so recovery paths are exercised bit-reproducibly without
+// real signals. Production code never installs a plan; the check is one
+// locked shared_ptr copy per job attempt.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -44,22 +36,16 @@ struct JobError {
   /// run_cache::key_hash of the job's fully bound (scenario, scheme,
   /// options) — names the exact configuration that failed.
   std::uint64_t config_fingerprint = 0;
-  /// what() of the last attempt's exception (or the supervisor's verdict
-  /// for kCrash).
+  /// what() of the last attempt's exception.
   std::string what;
-  /// kCrash marks a poison job quarantined by the shard supervisor: it
-  /// killed (or hung) its child process repeatedly instead of throwing.
-  enum class Kind { kException, kTimeout, kCrash } kind = Kind::kException;
-  /// Total attempts made (1 + retries); for kCrash, the shard crashes the
-  /// job was blamed for.
+  enum class Kind { kException, kTimeout } kind = Kind::kException;
+  /// Total attempts made (1 + retries).
   int attempts = 0;
 };
 
-/// Stable lowercase name for a JobError kind ("exception" / "timeout" /
-/// "crash") — used by reports and the shard tombstone files.
+/// Stable lowercase name for a JobError kind ("exception" / "timeout"),
+/// used by the sweep's failure report.
 const char* kind_name(JobError::Kind kind);
-/// Inverse of kind_name; false when `name` is not a known kind.
-bool kind_from_name(const std::string& name, JobError::Kind& out);
 
 /// Process-wide fault counters (exp.fault.* in the metrics registry).
 struct FaultStats {
@@ -70,15 +56,11 @@ struct FaultStats {
   std::uint64_t journal_replayed = 0; // jobs satisfied from a sweep journal
   std::uint64_t journal_appends = 0;  // journal entries written
   std::uint64_t journal_corrupt = 0;  // journal entries quarantined
-  std::uint64_t shard_crashes = 0;    // child shard processes that died
-  std::uint64_t shard_respawns = 0;   // crashed shards spawned again
-  std::uint64_t shard_stall_kills = 0; // shards SIGKILLed for stale heartbeats
-  std::uint64_t jobs_poisoned = 0;    // jobs quarantined as poison (kCrash)
 };
 FaultStats fault_stats();
 void reset_fault_stats();
 
-/// Internal: counter bumps used by the sweep engine / journal / shards.
+/// Internal: counter bumps used by the sweep engine and journal.
 namespace fault_counters {
 void add_exception();
 void add_timeout();
@@ -87,10 +69,6 @@ void add_failure();
 void add_journal_replayed(std::uint64_t n);
 void add_journal_append();
 void add_journal_corrupt();
-void add_shard_crash();
-void add_shard_respawn();
-void add_shard_stall_kill();
-void add_job_poisoned();
 }  // namespace fault_counters
 
 // --- Deterministic fault injection (TEST ONLY) ----------------------------
@@ -100,9 +78,6 @@ struct FaultPlan {
     kThrow,                // the job attempt throws before simulating
     kTimeout,              // the attempt runs with a 1-event watchdog budget
     kCorruptJournalEntry,  // the entry journaled for this job is corrupted
-    kCrash,                // the attempt raises SIGSEGV (whole process dies)
-    kHang,                 // the attempt loops forever, dispatching nothing —
-                           // invisible to the in-process event watchdog
   };
   struct Site {
     std::size_t job_index = 0;
@@ -133,22 +108,14 @@ struct FaultPlanGuard {
 
 namespace fault_injection {
 
-/// Applied by the job guard before each attempt: may throw (kThrow),
-/// shrink the watchdog budget (kTimeout), raise SIGSEGV (kCrash), or never
-/// return (kHang) per the installed plan. Besides the programmatic plan it
-/// honours $WLAN_FAULT_PLAN — a comma list of `<action>@<job>[x<times>]`
-/// sites (action ∈ throw|timeout|crash|hang|corrupt) parsed in THIS
-/// process, so supervisor-spawned children inherit the chaos schedule
-/// through their environment. A bounded `times` needs $WLAN_FAULT_DIR (a
-/// shared marker directory) to count firings across processes; without it
-/// the budget is tracked per process. No-op — one relaxed load — when no
-/// plan is installed and the env is unset.
+/// Applied by the job guard before each attempt: may throw (kThrow) or
+/// shrink the watchdog budget (kTimeout) per the installed plan. No-op
+/// when no plan is installed.
 void apply_before_attempt(std::size_t job_index, RunOptions& options);
 
-/// True when the installed plan (or the env plan's `corrupt@<job>` site)
-/// wants this job's freshly appended journal entry corrupted (consumes the
-/// site). The journal flips a payload byte in place, which the checksum
-/// footer must catch on resume.
+/// True when the installed plan wants this job's freshly appended journal
+/// entry corrupted (consumes the site). The journal flips a payload byte
+/// in place, which the checksum footer must catch on resume.
 bool wants_journal_corruption(std::size_t job_index);
 
 }  // namespace fault_injection

@@ -90,24 +90,6 @@ void ProgressTracker::job_finished(double wall_ms, bool failed) {
   emit_locked(/*final_tick=*/false);
 }
 
-void ProgressTracker::update_absolute(std::size_t done, std::size_t failed,
-                                      const std::string& note) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (done > total_) done = total_;
-  if (done > done_) {
-    const double now_s = steady_seconds();
-    const double dt =
-        now_s - last_done_s_ < 1e-6 ? 1e-6 : now_s - last_done_s_;
-    last_done_s_ = now_s;
-    const double inst = static_cast<double>(done - done_) / dt;
-    rate_ = rate_ <= 0.0 ? inst : 0.8 * rate_ + 0.2 * inst;
-    done_ = done;
-  }
-  failed_ = failed;
-  note_ = note;
-  emit_locked(/*final_tick=*/false);
-}
-
 ProgressTracker::Snapshot ProgressTracker::snapshot_locked() const {
   Snapshot s;
   s.total = total_;
@@ -182,9 +164,9 @@ void ProgressTracker::emit_locked(bool final_tick) {
     char line[256];
     std::snprintf(line, sizeof(line),
                   "[sweep] %zu/%zu jobs (%zu failed, %zu replayed) "
-                  "%.1f jobs/s eta %.0fs%s%s",
+                  "%.1f jobs/s eta %.0fs",
                   s.done, s.total, s.failed, s.replayed, s.rate_jobs_per_s,
-                  s.eta_s, note_.empty() ? "" : " | ", note_.c_str());
+                  s.eta_s);
     if (cfg.tty) {
       std::fprintf(stderr, "\r\x1b[2K%s", line);
       ticker_dirty_ = true;

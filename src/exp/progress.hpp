@@ -33,15 +33,6 @@ class ProgressTracker {
   /// Rate-limits and emits the enabled sinks internally.
   void job_finished(double wall_ms, bool failed);
 
-  /// Absolute update from an external observer (the shard supervisor,
-  /// which learns completions from heartbeat files rather than from its
-  /// own threads). `done` includes replayed jobs and is clamped monotonic;
-  /// the completion-rate EWMA is fed from the delta. `note` is a short
-  /// shard-status suffix appended to the ticker line (e.g.
-  /// "procs 4 | respawns 1"); it does not enter the heartbeat JSON.
-  void update_absolute(std::size_t done, std::size_t failed,
-                       const std::string& note);
-
   /// Final emission: completes the ticker line and writes the last
   /// heartbeat (which therefore always reflects the finished sweep).
   void finish();
@@ -90,7 +81,6 @@ class ProgressTracker {
   double rate_ = 0.0;   // EWMA jobs/s
   double last_emit_s_ = -1e9;
   bool ticker_dirty_ = false;  // a \r line is on screen, needs a final \n
-  std::string note_;           // shard-status ticker suffix
 };
 
 /// Count of run_sweep calls that finished in this process (the heartbeat

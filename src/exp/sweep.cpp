@@ -1,21 +1,16 @@
 #include "exp/sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
 #include <limits>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 
 #include "exp/progress.hpp"
 #include "exp/run_cache.hpp"
-#include "exp/shard.hpp"
 #include "exp/sweep_journal.hpp"
 #include "obs/audit.hpp"
 #include "obs/collect.hpp"
@@ -23,7 +18,6 @@
 #include "par/thread_pool.hpp"
 #include "sim/simulator.hpp"
 #include "util/env.hpp"
-#include "util/liveness.hpp"
 
 namespace wlan::exp {
 
@@ -47,6 +41,9 @@ std::vector<SweepJob> expand(const SweepSpec& spec) {
     throw std::invalid_argument("SweepSpec: seeds must be >= 1");
   if (!spec.params.empty() && !spec.bind)
     throw std::invalid_argument("SweepSpec: params axis needs a bind");
+  if (spec.processes != -1 && spec.processes != 1)
+    throw std::invalid_argument(
+        "SweepSpec: processes must be -1 or 1 (sweeps run in-process)");
   const std::size_t num_params = spec.params.empty() ? 1 : spec.params.size();
   const std::size_t num_loads = spec.loads.empty() ? 1 : spec.loads.size();
   std::vector<SweepJob> jobs;
@@ -137,8 +134,8 @@ AveragedResult fold_seeds(const std::vector<RunResult>& runs) {
 
 /// With WLAN_PROFILE on, reports each pool lane's aggregate phase profile
 /// (the per-run registries carry profile.* buckets; shard = the contiguous
-/// block of PENDING jobs the lane executed — journal-replayed jobs carry
-/// no profile and never reached a lane). Pure reporting.
+/// block of pending jobs one thread-pool lane executed — journal-replayed
+/// jobs carry no profile and never reached a lane). Pure reporting.
 void report_shard_profiles(const par::ThreadPool& pool,
                            const std::vector<RunResult>& raw,
                            const std::vector<std::size_t>& pending) {
@@ -226,18 +223,11 @@ void run_guarded(const SweepJob& job, std::size_t job_index,
     fault_counters::add_retry();
     if (policy.backoff_ms > 0) {
       // Exponential backoff: base, 2*base, 4*base, ... capped at 30 s.
-      // Slept in short slices with a liveness tick per slice, so a shard
-      // child waiting out a backoff reads as slow — not hung — to the
-      // supervisor's heartbeat stall detector.
       const std::int64_t delay =
           std::min<std::int64_t>(static_cast<std::int64_t>(policy.backoff_ms)
                                      << std::min(attempt - 1, 20),
                                  30'000);
-      for (std::int64_t slept = 0; slept < delay; slept += 50) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            std::min<std::int64_t>(50, delay - slept)));
-        util::progress_tick();
-      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(delay));
     }
   }
 }
@@ -252,61 +242,6 @@ void report_errors(const std::vector<JobError>& errors) {
         static_cast<unsigned long long>(e.config_fingerprint), e.attempts,
         e.attempts == 1 ? "" : "s", kind_name(e.kind), e.what.c_str());
   }
-}
-
-/// Executes this shard child's assigned job block and exits the process.
-/// The block is whittled down first — journal entries from a previous
-/// attempt, tombstones, and poisoned jobs are skipped — then fanned over
-/// the normal in-process pool under the normal job guard, with every
-/// outcome persisted (entry or tombstone) through atomic renames. The
-/// heartbeat thread keeps the supervisor's liveness view fresh. _Exit
-/// (not exit) so the parent-registered atexit cleanups never run here.
-[[noreturn]] void run_child_block(const shard::ChildBlock& child,
-                                  const SweepSpec& spec,
-                                  const std::vector<SweepJob>& jobs,
-                                  const std::vector<std::uint64_t>& job_keys,
-                                  par::ThreadPool* pool) {
-  const std::size_t lo = std::min(child.lo, jobs.size());
-  const std::size_t hi = std::min(child.hi, jobs.size());
-  const std::vector<std::size_t> poison = shard::read_poison_list(child.dir);
-  std::vector<std::size_t> block;
-  block.reserve(hi - lo);
-  for (std::size_t i = lo; i < hi; ++i) {
-    if (std::binary_search(poison.begin(), poison.end(), i)) continue;
-    RunResult replayed;
-    if (run_cache::read_entry_file(sweep_journal::entry_path(child.dir, i),
-                                   job_keys[i],
-                                   replayed) == run_cache::EntryStatus::kOk)
-      continue;  // a previous attempt finished this job
-    shard::Tombstone tomb;
-    if (shard::read_tombstone(child.dir, i, tomb)) continue;
-    block.push_back(i);
-  }
-  std::fprintf(stderr, "[shard %d] jobs %zu..%zu: %zu left to run\n",
-               child.index, lo, hi, block.size());
-
-  shard::Heartbeat heartbeat(child.dir, child.index);
-  const GuardPolicy policy = resolve_policy(spec);
-  std::atomic<bool> io_failed{false};
-  pool->parallel_for(block.size(), [&](std::size_t p) {
-    const std::size_t i = block[p];
-    RunResult result;
-    std::optional<JobError> error;
-    run_guarded(jobs[i], i, job_keys[i], spec.options, policy, result, error);
-    if (error.has_value()) {
-      shard::Tombstone tomb;
-      tomb.kind = error->kind;
-      tomb.attempts = error->attempts;
-      tomb.what = error->what;
-      if (!shard::write_tombstone(child.dir, i, tomb))
-        io_failed.store(true, std::memory_order_relaxed);
-    } else if (!sweep_journal::append(child.dir, i, job_keys[i], result)) {
-      io_failed.store(true, std::memory_order_relaxed);
-    }
-    heartbeat.note_job_done();
-  });
-  std::fflush(nullptr);
-  std::_Exit(io_failed.load(std::memory_order_relaxed) ? 3 : 0);
 }
 
 }  // namespace
@@ -342,35 +277,7 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
     job_keys[i] =
         run_cache::key_hash(jobs[i].scenario, jobs[i].scheme, spec.options);
 
-  const std::uint64_t fingerprint = sweep_journal::sweep_fingerprint(job_keys);
-  const bool series_or_trace =
-      spec.options.record_series || spec.options.trace != nullptr;
-
-  // Shard child fast-path: a supervisor-spawned child re-executes its
-  // whole driver; the sweep whose fingerprint names the assigned journal
-  // directory is THE sharded sweep — run the block and exit. Any other
-  // run_sweep call in the driver executes normally (and near-instantly,
-  // replayed from the journal the parent already completed).
-  if (const shard::ChildBlock* child = shard::child_block();
-      child != nullptr && !series_or_trace) {
-    char fp_name[40];
-    std::snprintf(fp_name, sizeof fp_name, "sweep_%016llx",
-                  static_cast<unsigned long long>(fingerprint));
-    if (std::filesystem::path(child->dir).filename().string() == fp_name)
-      run_child_block(*child, spec, jobs, job_keys, pool);  // never returns
-  }
-
   const GuardPolicy policy = resolve_policy(spec);
-  const shard::Policy spolicy =
-      shard::resolve_policy(spec.processes, policy.backoff_ms);
-  bool supervise_mode = spolicy.processes > 1 &&
-                        shard::child_block() == nullptr && !jobs.empty();
-  if (supervise_mode && series_or_trace) {
-    std::fprintf(stderr,
-                 "[sweep] WLAN_SWEEP_PROCS ignored: series/trace runs are "
-                 "not journalable, running in-process\n");
-    supervise_mode = false;
-  }
 
   // Journal replay (WLAN_SWEEP_JOURNAL): completed jobs from an earlier,
   // interrupted invocation of this exact sweep fill their slots directly;
@@ -378,24 +285,15 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
   // (neither is serialized — same rule as the run cache).
   std::vector<RunResult> raw(jobs.size());
   std::vector<char> done(jobs.size(), 0);
-  std::string journal_base = series_or_trace
-                                 ? std::string()
-                                 : sweep_journal::directory();
-  if (supervise_mode && journal_base.empty()) {
-    // The journal is the supervisor's IPC substrate; without a user-
-    // configured base, use an invocation-scoped scratch one (exported so
-    // the children inherit it, removed at parent exit).
-    journal_base = shard::scratch_journal_base();
-    if (journal_base.empty()) {
-      std::fprintf(stderr,
-                   "[sweep] no scratch journal directory available; "
-                   "running in-process\n");
-      supervise_mode = false;
-    }
-  }
+  const bool series_or_trace =
+      spec.options.record_series || spec.options.trace != nullptr;
+  const std::string journal_base = series_or_trace
+                                       ? std::string()
+                                       : sweep_journal::directory();
   std::string journal_dir;
   if (!journal_base.empty()) {
-    journal_dir = sweep_journal::sweep_directory(journal_base, fingerprint);
+    journal_dir = sweep_journal::sweep_directory(
+        journal_base, sweep_journal::sweep_fingerprint(job_keys));
     const std::size_t replayed =
         sweep_journal::replay(journal_dir, job_keys, raw, done);
     if (replayed > 0)
@@ -412,80 +310,14 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
   ProgressTracker progress(jobs.size(), jobs.size() - pending.size());
   std::vector<std::optional<JobError>> job_errors(jobs.size());
 
-  // Jobs that must run in THIS process: all pending ones in-process mode;
-  // under supervision only the safety-net leftovers the shard fleet
-  // somehow failed to resolve (e.g. a corrupt journal entry).
-  std::vector<std::size_t> inline_jobs;
-  if (supervise_mode && !pending.empty()) {
-    const shard::SuperviseOutcome outcome = shard::supervise(
-        journal_dir, jobs.size(), done, spolicy, &progress);
-    const std::set<std::size_t> poisoned(outcome.poisoned.begin(),
-                                         outcome.poisoned.end());
-    // Deterministic merge: replay the shard fleet's journal in ascending
-    // job-index order and materialize the supervisor's failure verdicts.
-    // Every double travels as raw bits through the entry format, and the
-    // fold below never changes order, so the result is byte-identical to
-    // processes=1 at any thread count.
-    std::size_t merged = 0;
-    for (std::size_t i : pending) {
-      const std::string path = sweep_journal::entry_path(journal_dir, i);
-      switch (run_cache::read_entry_file(path, job_keys[i], raw[i])) {
-        case run_cache::EntryStatus::kOk:
-          done[i] = 1;
-          ++merged;
-          continue;
-        case run_cache::EntryStatus::kCorrupt:
-          run_cache::quarantine_entry(path);
-          fault_counters::add_journal_corrupt();
-          break;
-        case run_cache::EntryStatus::kMissing:
-          break;
-      }
-      JobError err;
-      err.job_index = i;
-      err.point_index = jobs[i].point_index;
-      err.seed_index = jobs[i].seed_index;
-      err.config_fingerprint = job_keys[i];
-      shard::Tombstone tomb;
-      if (shard::read_tombstone(journal_dir, i, tomb)) {
-        // A child exhausted the in-process retries; same verdict it would
-        // have produced here.
-        err.kind = tomb.kind;
-        err.attempts = tomb.attempts;
-        err.what = tomb.what;
-      } else if (poisoned.count(i) != 0) {
-        err.kind = JobError::Kind::kCrash;
-        err.attempts = spolicy.crash_limit;
-        err.what = "poison job: crashed its shard " +
-                   std::to_string(spolicy.crash_limit) +
-                   " time(s) in a row; quarantined by the supervisor";
-      } else {
-        inline_jobs.push_back(i);
-        continue;
-      }
-      fault_counters::add_failure();
-      raw[i] = RunResult{};
-      job_errors[i] = std::move(err);
-      done[i] = 1;
-    }
-    if (merged > 0) fault_counters::add_journal_replayed(merged);
-    if (!inline_jobs.empty())
-      std::fprintf(stderr,
-                   "[sweep] %zu job(s) unresolved after supervision; "
-                   "running them in-process\n",
-                   inline_jobs.size());
-  } else {
-    inline_jobs = pending;
-  }
-
-  // Guarded fan-out over the in-process jobs. Each lane writes only its
+  // Guarded fan-out over the pending jobs. Each lane writes only its
   // own jobs' raw/error slots (distinct indices), so no synchronization is
   // needed beyond the pool's fork-join barrier. The progress tracker is
   // the only shared mutable state and is internally locked; it reads
   // nothing back into the jobs, so results stay byte-identical with
   // telemetry on or off.
-  pool->parallel_for(inline_jobs.size(), [&](std::size_t p) {
-    const std::size_t i = inline_jobs[p];
+  pool->parallel_for(pending.size(), [&](std::size_t p) {
+    const std::size_t i = pending[p];
     const auto t0 = std::chrono::steady_clock::now();
     run_guarded(jobs[i], i, job_keys[i], spec.options, policy, raw[i],
                 job_errors[i]);
@@ -500,7 +332,7 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
   note_sweep_completed();
   progress.finish();
 
-  report_shard_profiles(*pool, raw, inline_jobs);
+  report_shard_profiles(*pool, raw, pending);
 
   SweepResult result;
   for (std::size_t i = 0; i < jobs.size(); ++i)

@@ -64,13 +64,9 @@ struct SweepSpec {
   /// the sleep (tests want retries without wall-clock cost).
   int job_backoff_ms = -1;
 
-  /// Shard process count for crash containment; -1 = $WLAN_SWEEP_PROCS
-  /// (default 1 = in-process). With more than one process the expanded
-  /// grid is partitioned into contiguous blocks, each executed by a
-  /// supervised child process that journals every completed job; the
-  /// parent folds the journal in job-index order, so the result is
-  /// byte-identical to processes=1 at any thread count. Ignored (with a
-  /// stderr note) for series/trace runs, which cannot be journaled.
+  /// Kept only so the repository benchmark's sources still compile; a
+  /// later benchmark change may delete it. Sweeps always run in this
+  /// process, so expand() rejects any value other than -1 or 1.
   int processes = -1;
 
   /// One-point spec: a single (scenario, scheme) pair averaged over seeds.
@@ -90,7 +86,8 @@ struct SweepJob {
 
 /// Expands the grid into jobs in deterministic row-major order. Throws
 /// std::invalid_argument on an ill-formed spec (empty axis, seeds < 1,
-/// params without bind, loads with a saturated scenario).
+/// params without bind, loads with a saturated scenario, processes other
+/// than -1 or 1).
 std::vector<SweepJob> expand(const SweepSpec& spec);
 
 /// Results for one grid point, folded over the seed axis in seed order
@@ -152,14 +149,9 @@ struct SweepResult {
 /// only the remainder, with byte-identical final output. Failing jobs are
 /// guarded (retry + backoff, watchdog timeouts converted to errors) and
 /// reported through SweepResult::errors instead of aborting the sweep.
-///
-/// Process isolation: with $WLAN_SWEEP_PROCS > 1 (or SweepSpec::processes)
-/// the jobs are executed by supervised child processes (see exp/shard.hpp)
-/// so a SIGSEGV or hard hang in one job cannot take the sweep down; a
-/// crashed shard is respawned, resuming from its journal, and a job that
-/// repeatedly kills its shard is quarantined as a JobError{kind=kCrash}.
-/// When no journal directory is configured, a supervised sweep uses an
-/// invocation-scoped scratch journal that is removed at exit.
+/// A job that crashes the process or hangs outside the simulator takes
+/// the whole driver down; bench/run_all.sh runs every driver in its own
+/// process and re-runs a failed one, and the journal lets it resume.
 SweepResult run_sweep(const SweepSpec& spec,
                       par::ThreadPool* pool = nullptr);
 

@@ -93,7 +93,7 @@ bool append(const std::string& sweep_dir, std::size_t job_index,
   // names (cache.*, exp.fault.*, profile.*): those depend on which process
   // ran the job, and merge_run_metrics skips them anyway — storing only
   // the per-run counters keeps a journal-replayed fold byte-identical to
-  // an in-process one regardless of shard layout.
+  // an uninterrupted one.
   obs::MetricsRegistry filtered;
   for (const obs::Metric& m : result.metrics.entries())
     if (!obs::is_process_cumulative_metric(m.name))

@@ -11,7 +11,9 @@ namespace wlan::mac {
 namespace {
 
 /// The first live member (trace records name one node per cohort event).
-std::uint32_t first_member_id(const ArbiterCohort& cohort) {
+/// Only WLAN_OBS_POINT arguments call it, and -DWLAN_OBS_TRACE=OFF drops
+/// them, hence [[maybe_unused]].
+[[maybe_unused]] std::uint32_t first_member_id(const ArbiterCohort& cohort) {
   for (const Station* s : cohort.members)
     if (s != nullptr) return s->id();
   return 0;

@@ -78,10 +78,6 @@ void add_fault_metrics(MetricsRegistry& reg) {
   reg.set_count("exp.fault.journal_replayed", fs.journal_replayed);
   reg.set_count("exp.fault.journal_appends", fs.journal_appends);
   reg.set_count("exp.fault.journal_corrupt", fs.journal_corrupt);
-  reg.set_count("exp.fault.shard_crashes", fs.shard_crashes);
-  reg.set_count("exp.fault.shard_respawns", fs.shard_respawns);
-  reg.set_count("exp.fault.shard_stall_kills", fs.shard_stall_kills);
-  reg.set_count("exp.fault.jobs_poisoned", fs.jobs_poisoned);
 }
 
 void add_profile_metrics(MetricsRegistry& reg, const PhaseProfiler& p) {

@@ -161,11 +161,14 @@ TEST(Simulator, SameTimeEventsRunInScheduleOrder) {
 using wlan::sim::WatchdogExpired;
 
 /// Schedules an endless self-rescheduling tick — the deterministic shape
-/// of a "hung" simulation.
+/// of a "hung" simulation. Only the queued events own the tick; the stored
+/// body holds a weak_ptr, since a strong self-reference would be a cycle
+/// that outlives the Simulator (LeakSanitizer reports it).
 void arm_endless_tick(Simulator& sim) {
   auto tick = std::make_shared<std::function<void()>>();
-  *tick = [&sim, tick] {
-    sim.schedule_after(Duration::nanoseconds(10), [tick] { (*tick)(); });
+  *tick = [&sim, weak = std::weak_ptr<std::function<void()>>(tick)] {
+    if (auto self = weak.lock())
+      sim.schedule_after(Duration::nanoseconds(10), [self] { (*self)(); });
   };
   sim.schedule_after(Duration::nanoseconds(10), [tick] { (*tick)(); });
 }

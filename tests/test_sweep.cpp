@@ -81,6 +81,11 @@ TEST(Sweep, RejectsIllFormedSpecs) {
   spec.seeds = 1;
   spec.params = {0.5};
   EXPECT_THROW(expand(spec), std::invalid_argument);  // params without bind
+  spec.params.clear();
+  spec.processes = 2;
+  EXPECT_THROW(expand(spec), std::invalid_argument);  // sweeps are in-process
+  spec.processes = 1;
+  EXPECT_NO_THROW(expand(spec));
 }
 
 TEST(Sweep, ParallelResultBitIdenticalToSerialSeedLoop) {

@@ -277,6 +277,11 @@ TEST(SweepFault, WatchdogTimeoutBecomesAStructuredJobError) {
   EXPECT_EQ(fs.job_failures, 1u);
 }
 
+TEST(SweepFault, KindNamesAreStable) {
+  EXPECT_STREQ(exp::kind_name(JobError::Kind::kException), "exception");
+  EXPECT_STREQ(exp::kind_name(JobError::Kind::kTimeout), "timeout");
+}
+
 TEST(SweepFault, JobErrorCarriesTheConfigFingerprint) {
   ::unsetenv("WLAN_SWEEP_JOURNAL");
   SweepSpec spec = small_grid();
