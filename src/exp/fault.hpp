@@ -2,9 +2,9 @@
 //
 // JobError is the structured record run_sweep's job guard produces when a
 // sweep job fails for good: an exception or watchdog timeout that survived
-// every retry. It replaces the pre-PR-8 behaviour (the thread pool's
-// lowest-lane rethrow aborting the whole sweep) — a 10'000-job grid with
-// one sick point now finishes 9'999 jobs and reports the sick one.
+// every retry. The sweep does not abort on it (as the thread pool's
+// lowest-lane rethrow would): a 10'000-job grid with one sick point
+// finishes 9'999 jobs and reports the sick one.
 //
 // FaultStats are the process-wide exp.fault.* counters surfaced through
 // the obs metrics registry (obs::add_fault_metrics), following the same
