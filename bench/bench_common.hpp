@@ -8,7 +8,10 @@
 // par::ThreadPool; `--threads N` (or WLAN_THREADS) bounds the lanes.
 #pragma once
 
+#include <sys/resource.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -24,14 +27,29 @@
 
 namespace wlan::bench {
 
+/// Prints the driver's own peak RSS and CPU seconds (getrusage) to stderr
+/// at exit; bench/run_all.sh reads this line from driver.log, so its
+/// summary.csv needs no GNU time.
+inline void report_rusage() {
+  rusage ru{};
+  if (getrusage(RUSAGE_SELF, &ru) != 0) return;
+  std::fflush(stdout);  // keep the line out of a half-flushed stdout line
+  const double cpu_s =
+      static_cast<double>(ru.ru_utime.tv_sec + ru.ru_stime.tv_sec) +
+      static_cast<double>(ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e6;
+  std::fprintf(stderr, "[driver] max_rss_kb=%ld cpu_s=%.2f\n", ru.ru_maxrss,
+               cpu_s);
+}
+
 /// Standard driver startup: parse flags (currently `--threads N`), size
-/// the global pool before the first sweep builds it, and install the
+/// the global pool before the first sweep builds it, install the
 /// SIGINT/SIGTERM handlers that flush partial CSVs on interruption (the
-/// sweep journal itself needs no flushing — every entry is an atomic
-/// rename the moment its job completes).
+/// result store itself needs no flushing — every entry is an atomic
+/// rename the moment its job completes), and report resource use at exit.
 inline util::Cli init(int argc, const char* const* argv) {
   util::Cli cli(argc, argv);
   util::install_shutdown_handlers();
+  std::atexit(report_rusage);
   par::ThreadPool::configure_global(cli.threads(0));
   return cli;
 }

@@ -17,42 +17,49 @@
 #   WLAN_THREADS        in-process sweep lanes per driver (default 1 here:
 #                       the script already parallelizes across drivers)
 #   WLAN_BENCH_JOBS     concurrent driver processes (default: nproc)
-#   WLAN_RUN_CACHE      run-cache directory (default here:
+# Result store (src/exp/run_cache.hpp): one directory of per-run entries
+# that is both the cross-driver cache and every sweep's resume state. A
+# sweep looks each job up there first and writes each fresh job once, so
+# a driver killed mid-sweep resumes job by job, byte-identically.
+#   WLAN_RUN_CACHE      store directory (default here:
 #                       <build>/results/run_cache, so points shared by
 #                       several drivers — fig06/fig07 vs table2, the std
 #                       columns of the load drivers — are simulated once;
 #                       export WLAN_RUN_CACHE= (empty) to disable)
-#   WLAN_RUN_CACHE_KEEP keep the default cache across invocations of this
+#   WLAN_RUN_CACHE_KEEP keep the default store across invocations of this
 #                       script (default: wiped at startup, so results can
 #                       never come from a previous build's binaries)
+#   WLAN_SWEEP_JOURNAL  when set, the store directory instead of
+#                       WLAN_RUN_CACHE, for every driver. This script never
+#                       wipes it, so cross-driver reuse then reads whatever
+#                       it holds: delete it after rebuilding a changed
+#                       simulator.
 #   WLAN_BENCH_RESUME   truthy => skip drivers whose results/<driver>/
 #                       already holds a completed run (non-empty CSV/JSON
 #                       output plus the .wall_seconds completion marker and
 #                       no .failed marker); interrupted or failed drivers
-#                       re-run. Pair with WLAN_RUN_CACHE_KEEP=1 (and
-#                       optionally WLAN_SWEEP_JOURNAL) to make a killed
-#                       invocation cheap to finish.
-#   WLAN_SWEEP_JOURNAL  sweep-journal directory (src/exp/sweep_journal.hpp):
-#                       a driver killed mid-sweep resumes point-by-point on
-#                       the next run, byte-identically. Opt-in, with the
-#                       same staleness-across-rebuilds caveat as
-#                       WLAN_RUN_CACHE.
-#   WLAN_RUN_CACHE_MAX_MB  size bound on the run-cache directory in MiB;
-#                       the oldest entries are pruned when a process first
-#                       opens the cache. 0/unset = unbounded.
+#                       re-run. Pair with WLAN_RUN_CACHE_KEEP=1 (or
+#                       WLAN_SWEEP_JOURNAL) to make a killed invocation
+#                       cheap to finish.
+#   WLAN_RUN_CACHE_MAX_MB  size bound on the store directory in MiB; the
+#                       oldest entries are pruned when a process first
+#                       opens it (a pruned resume entry is recomputed).
+#                       0/unset = unbounded.
 #
 # Live telemetry: every driver runs with WLAN_PROGRESS_JSON pointed at its
 # own results/<driver>/progress.json (src/exp/progress.hpp heartbeat); a
 # background aggregator folds them into results/status.json every few
 # seconds while drivers run, so one `watch cat results/status.json` follows
 # the whole invocation. summary.csv carries each driver's retry count and
-# final run-cache hit/miss tallies next to wall clock and peak RSS.
+# final store hit/miss tallies next to wall clock, peak RSS and CPU
+# seconds; the script ends by printing its total wall time and CPU-s.
 #
 # Robustness: each driver that fails is retried once (transient failures —
 # OOM kills, flaky filesystems — should not cost the whole invocation);
 # only a second failure writes the .failed marker that fails the script.
 set -euo pipefail
 
+start_time="$(date +%s.%N)"
 build_dir="$(cd "${1:-build}" && pwd)"
 results_dir="${build_dir}/results"
 mkdir -p "${results_dir}"
@@ -90,8 +97,9 @@ if [[ ${#benches[@]} -eq 0 ]]; then
 fi
 
 # Peak-RSS measurement: GNU time (usually /usr/bin/time, NOT the bash
-# builtin) reports "Maximum resident set size (kbytes)" with -v. When it is
-# unavailable the summary's max_rss_kb column degrades to empty cells —
+# builtin) reports "Maximum resident set size (kbytes)" with -v. Without
+# it, the driver's own exit line (getrusage, bench/bench_common.hpp)
+# fills max_rss_kb; a driver without that line leaves an empty cell —
 # never a failure.
 gnu_time=""
 if /usr/bin/time -v true >/dev/null 2>&1; then
@@ -140,7 +148,7 @@ run_one() {
   out="${results_dir}/${name#bench_}"
   mkdir -p "${out}"
   rm -f "${out}/.failed" "${out}/.wall_seconds" "${out}/.max_rss_kb" \
-        "${out}/.retries" "${out}/progress.json"
+        "${out}/.cpu_seconds" "${out}/.retries" "${out}/progress.json"
   : > "${out}/driver.log"
   t0="$(date +%s.%N)"
   for attempt in 1 2; do
@@ -165,6 +173,15 @@ run_one() {
         > "${out}/.max_rss_kb"
     rm -f "${out}/.time_v"
   fi
+  # The last attempt's "[driver] max_rss_kb=K cpu_s=S" exit line.
+  local usage
+  usage="$(grep -o '\[driver\] max_rss_kb=[0-9]* cpu_s=[0-9.]*' "${out}/driver.log" |
+           tail -n 1 || true)"
+  if [[ -n ${usage} ]]; then
+    [[ -s "${out}/.max_rss_kb" ]] ||
+      sed -n 's/.*max_rss_kb=\([0-9]*\).*/\1/p' <<< "${usage}" > "${out}/.max_rss_kb"
+    sed -n 's/.*cpu_s=\([0-9.]*\).*/\1/p' <<< "${usage}" > "${out}/.cpu_seconds"
+  fi
   if [[ -e "${out}/.failed" ]]; then
     echo "<== ${name} FAILED (log: ${out}/driver.log)"
   else
@@ -181,8 +198,8 @@ resume="${WLAN_BENCH_RESUME:-}"
 # theirs (and their summary row); drivers that re-run reset their own.
 if [[ -z ${resume} ]]; then
   rm -f "${results_dir}"/*/.failed "${results_dir}"/*/.wall_seconds \
-        "${results_dir}"/*/.max_rss_kb "${results_dir}"/*/.retries \
-        "${results_dir}"/*/progress.json
+        "${results_dir}"/*/.max_rss_kb "${results_dir}"/*/.cpu_seconds \
+        "${results_dir}"/*/.retries "${results_dir}"/*/progress.json
 fi
 
 # Folds every per-driver progress.json heartbeat (plus the run markers)
@@ -272,13 +289,14 @@ echo
 echo "Per-driver outputs in ${results_dir}/<driver>/:"
 ls -1 "${results_dir}"
 
-# Wall-clock + peak-RSS summary across drivers (the slow ones are the
-# optimization targets — see ROADMAP's perf item). max_rss_kb is empty when
-# GNU time is unavailable; retries is the script-level re-launch count;
+# Wall-clock + peak-RSS + CPU summary across drivers (the slow ones are the
+# optimization targets — see ROADMAP's perf item). max_rss_kb and
+# cpu_seconds are empty for a driver that printed no exit line (killed, or
+# not built on bench_common.hpp); retries is the script-level re-launch count;
 # cache_hits/cache_misses come from the driver's final progress.json
 # heartbeat (empty when the driver predates the heartbeat or ran no sweep).
 summary="${results_dir}/summary.csv"
-echo "driver,wall_seconds,max_rss_kb,retries,cache_hits,cache_misses,status" > "${summary}"
+echo "driver,wall_seconds,max_rss_kb,cpu_seconds,retries,cache_hits,cache_misses,status" > "${summary}"
 for wall in "${results_dir}"/*/.wall_seconds; do
   [[ -e ${wall} ]] || continue
   dir="$(dirname "${wall}")"
@@ -286,6 +304,8 @@ for wall in "${results_dir}"/*/.wall_seconds; do
   [[ -e "${dir}/.failed" ]] && status=failed
   rss=""
   [[ -s "${dir}/.max_rss_kb" ]] && rss="$(cat "${dir}/.max_rss_kb")"
+  cpu=""
+  [[ -s "${dir}/.cpu_seconds" ]] && cpu="$(cat "${dir}/.cpu_seconds")"
   retries=""
   [[ -s "${dir}/.retries" ]] && retries="$(cat "${dir}/.retries")"
   hits=""
@@ -294,11 +314,14 @@ for wall in "${results_dir}"/*/.wall_seconds; do
     hits="$(sed -n 's/.*"cache_hits": \([0-9]*\).*/\1/p' "${dir}/progress.json")"
     misses="$(sed -n 's/.*"cache_misses": \([0-9]*\).*/\1/p' "${dir}/progress.json")"
   fi
-  echo "$(basename "${dir}"),$(cat "${wall}"),${rss},${retries},${hits},${misses},${status}"
+  echo "$(basename "${dir}"),$(cat "${wall}"),${rss},${cpu},${retries},${hits},${misses},${status}"
 done | sort >> "${summary}"
 echo
 echo "Wall-clock summary (${summary}):"
 column -s, -t "${summary}" 2>/dev/null || cat "${summary}"
+awk -F, -v a="${start_time}" -v b="$(date +%s.%N)" \
+    'NR > 1 { cpu += $4 } END { printf "Total: %.1f s wall, %.1f CPU-s (drivers)\n", b - a, cpu }' \
+    "${summary}"
 
 failed=()
 for marker in "${results_dir}"/*/.failed; do

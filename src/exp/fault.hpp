@@ -12,7 +12,7 @@
 //
 // FaultPlan is a TEST-ONLY deterministic fault injector: the kill/resume
 // differential suites install a plan naming job indices that must throw,
-// exceed their watchdog, or have their freshly written journal entry
+// exceed their watchdog, or have their freshly written store entry
 // corrupted — so recovery paths are exercised bit-reproducibly without
 // real signals. Production code never installs a plan; the check is one
 // locked shared_ptr copy per job attempt.
@@ -53,14 +53,14 @@ struct FaultStats {
   std::uint64_t job_timeouts = 0;     // attempts that hit a watchdog
   std::uint64_t job_retries = 0;      // re-attempts after a failure
   std::uint64_t job_failures = 0;     // jobs abandoned (JobError emitted)
-  std::uint64_t journal_replayed = 0; // jobs satisfied from a sweep journal
-  std::uint64_t journal_appends = 0;  // journal entries written
-  std::uint64_t journal_corrupt = 0;  // journal entries quarantined
+  std::uint64_t journal_replayed = 0; // sweep jobs answered by the store
+  std::uint64_t journal_appends = 0;  // store entries sweep jobs wrote
+  std::uint64_t journal_corrupt = 0;  // entries a sweep lookup quarantined
 };
 FaultStats fault_stats();
 void reset_fault_stats();
 
-/// Internal: counter bumps used by the sweep engine and journal.
+/// Internal: counter bumps used by the sweep engine and its store calls.
 namespace fault_counters {
 void add_exception();
 void add_timeout();
@@ -77,7 +77,7 @@ struct FaultPlan {
   enum class Action {
     kThrow,                // the job attempt throws before simulating
     kTimeout,              // the attempt runs with a 1-event watchdog budget
-    kCorruptJournalEntry,  // the entry journaled for this job is corrupted
+    kCorruptJournalEntry,  // the store entry this job wrote is corrupted
   };
   struct Site {
     std::size_t job_index = 0;
@@ -113,8 +113,8 @@ namespace fault_injection {
 /// when no plan is installed.
 void apply_before_attempt(std::size_t job_index, RunOptions& options);
 
-/// True when the installed plan wants this job's freshly appended journal
-/// entry corrupted (consumes the site). The journal flips a payload byte
+/// True when the installed plan wants this job's freshly written store
+/// entry corrupted (consumes the site). The append flips a payload byte
 /// in place, which the checksum footer must catch on resume.
 bool wants_journal_corruption(std::size_t job_index);
 

@@ -25,7 +25,7 @@ namespace wlan::exp {
 class ProgressTracker {
  public:
   /// A sweep of `total` jobs, `replayed` of which were filled from the
-  /// journal before the fan-out (they count as done immediately).
+  /// result store before the fan-out (they count as done immediately).
   ProgressTracker(std::size_t total, std::size_t replayed);
 
   /// One job finished (worker thread). `wall_ms` is the guarded-run wall

@@ -17,6 +17,7 @@
 #include <system_error>
 #include <vector>
 
+#include "obs/collect.hpp"
 #include "util/env.hpp"
 #include "util/fnv.hpp"
 
@@ -200,8 +201,7 @@ std::uint64_t checksum_of(const std::vector<unsigned char>& buf,
   return h.digest();
 }
 
-void write_result(Writer& w, std::uint64_t key, const RunResult& r,
-                  const obs::MetricsRegistry* metrics) {
+void write_result(Writer& w, std::uint64_t key, const RunResult& r) {
   w.u64((static_cast<std::uint64_t>(kFormatVersion) << 32) | kMagic);
   w.u64(key);
   w.f64(r.total_mbps);
@@ -236,20 +236,20 @@ void write_result(Writer& w, std::uint64_t key, const RunResult& r,
       w.u64(counts[b]);
     }
   }
-  // Metrics section (v3): count then (name-length, name bytes, value)
-  // tuples, insertion order preserved. The cache writes an empty section
-  // (hits stay metrics-free by contract); the sweep journal persists the
-  // deterministic per-run counters so replay == fresh run, registry
-  // included.
-  if (metrics == nullptr) {
-    w.u64(0);
-  } else {
-    w.u64(metrics->entries().size());
-    for (const obs::Metric& m : metrics->entries()) {
-      w.u64(m.name.size());
-      w.buf.insert(w.buf.end(), m.name.begin(), m.name.end());
-      w.f64(m.value);
-    }
+  // Metrics section: count then (name-length, name bytes, value) tuples,
+  // insertion order preserved. Process-cumulative names (cache.*,
+  // exp.fault.*, profile.*) depend on which process ran the job, and
+  // merge_run_metrics skips them anyway; storing only the per-run counters
+  // keeps a replayed fold byte-identical to a fresh one.
+  std::uint64_t kept = 0;
+  for (const obs::Metric& m : r.metrics.entries())
+    kept += !obs::is_process_cumulative_metric(m.name);
+  w.u64(kept);
+  for (const obs::Metric& m : r.metrics.entries()) {
+    if (obs::is_process_cumulative_metric(m.name)) continue;
+    w.u64(m.name.size());
+    w.buf.insert(w.buf.end(), m.name.begin(), m.name.end());
+    w.f64(m.value);
   }
 }
 
@@ -309,18 +309,19 @@ bool read_result(Reader& rd, std::uint64_t key, RunResult& out,
   return true;
 }
 
-std::filesystem::path entry_path(const std::string& dir, std::uint64_t key) {
-  char name[32];
-  std::snprintf(name, sizeof name, "%016llx.run",
-                static_cast<unsigned long long>(key));
-  return std::filesystem::path(dir) / name;
-}
-
 }  // namespace
 
 std::string directory() {
-  const char* dir = std::getenv("WLAN_RUN_CACHE");
-  return dir == nullptr ? std::string() : std::string(dir);
+  for (const char* name : {"WLAN_SWEEP_JOURNAL", "WLAN_RUN_CACHE"}) {
+    const char* dir = std::getenv(name);
+    if (dir != nullptr && *dir != '\0') return dir;
+  }
+  return std::string();
+}
+
+std::string directory_for(const RunOptions& options) {
+  return options.record_series || options.trace != nullptr ? std::string()
+                                                           : directory();
 }
 
 std::uint64_t max_bytes_from_env() {
@@ -405,11 +406,10 @@ std::uint64_t key_hash(const ScenarioConfig& scenario,
 }
 
 std::vector<unsigned char> serialize_entry(std::uint64_t key,
-                                           const RunResult& result,
-                                           const obs::MetricsRegistry* metrics) {
+                                           const RunResult& result) {
   std::vector<unsigned char> buf;
   Writer w{buf};
-  write_result(w, key, result, metrics);
+  write_result(w, key, result);
   // Content checksum footer: FNV-1a over every payload byte. A torn write
   // that survives a crash (or bit rot) cannot both truncate/flip bytes and
   // keep the footer consistent.
@@ -429,6 +429,23 @@ EntryStatus deserialize_entry(const std::vector<unsigned char>& buf,
   return EntryStatus::kOk;
 }
 
+std::string entry_path(const std::string& dir, std::uint64_t key) {
+  char name[32];
+  std::snprintf(name, sizeof name, "%016llx.run",
+                static_cast<unsigned long long>(key));
+  return (std::filesystem::path(dir) / name).string();
+}
+
+namespace {
+
+unsigned long long process_id() {
+#ifdef _WIN32
+  return static_cast<unsigned long long>(::_getpid());
+#else
+  return static_cast<unsigned long long>(::getpid());
+#endif
+}
+
 EntryStatus read_entry_file(const std::string& path, std::uint64_t key,
                             RunResult& out) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -444,26 +461,21 @@ EntryStatus read_entry_file(const std::string& path, std::uint64_t key,
   return deserialize_entry(buf, key, out);
 }
 
+/// Atomically writes an entry file: unique temp name per process + write
+/// call, renamed into place, so concurrent drivers (and lanes within one)
+/// never observe a partial file (rename within one directory is atomic on
+/// POSIX).
 bool write_entry_file(const std::string& path, std::uint64_t key,
-                      const RunResult& result,
-                      const obs::MetricsRegistry* metrics) {
-  // Unique temp name per process + store call, renamed into place so
-  // concurrent drivers (and lanes within one) never observe a partial
-  // file (rename within one directory is atomic on POSIX).
+                      const RunResult& result) {
   static std::atomic<std::uint64_t> store_counter{0};
-#ifdef _WIN32
-  const unsigned long long pid = static_cast<unsigned long long>(::_getpid());
-#else
-  const unsigned long long pid = static_cast<unsigned long long>(::getpid());
-#endif
   char suffix[64];
-  std::snprintf(suffix, sizeof suffix, ".%llx.%llx.tmp", pid,
+  std::snprintf(suffix, sizeof suffix, ".%llx.%llx.tmp", process_id(),
                 static_cast<unsigned long long>(
                     store_counter.fetch_add(1, std::memory_order_relaxed)));
   const std::string tmp_path = path + suffix;
   std::FILE* f = std::fopen(tmp_path.c_str(), "wb");
   if (f == nullptr) return false;
-  const std::vector<unsigned char> buf = serialize_entry(key, result, metrics);
+  const std::vector<unsigned char> buf = serialize_entry(key, result);
   const bool wrote = std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
   const bool flushed = std::fclose(f) == 0 && wrote;
   std::error_code ec;
@@ -479,48 +491,48 @@ bool write_entry_file(const std::string& path, std::uint64_t key,
   return true;
 }
 
-std::string quarantine_entry(const std::string& path) {
-#ifdef _WIN32
-  const unsigned long long pid = static_cast<unsigned long long>(::_getpid());
-#else
-  const unsigned long long pid = static_cast<unsigned long long>(::getpid());
-#endif
+/// Renames a corrupt entry aside to `<path>.quarantined.<pid>` so it is
+/// preserved for inspection but never re-read; removes it when the rename
+/// fails (e.g. permissions), which still keeps it from being re-read.
+void quarantine_entry(const std::string& path) {
   char suffix[48];
-  std::snprintf(suffix, sizeof suffix, ".quarantined.%llx", pid);
-  const std::string aside = path + suffix;
+  std::snprintf(suffix, sizeof suffix, ".quarantined.%llx", process_id());
   std::error_code ec;
-  std::filesystem::rename(path, aside, ec);
-  if (!ec) return aside;
-  // Rename failed (e.g. cross-device or permissions): removing is the
-  // fallback that still prevents the corrupt entry from being re-read.
-  std::filesystem::remove(path, ec);
-  return std::string();
+  std::filesystem::rename(path, path + suffix, ec);
+  if (ec) std::filesystem::remove(path, ec);
+}
+
+}  // namespace
+
+EntryStatus find(const std::string& dir, std::uint64_t key, RunResult& out) {
+  maybe_prune_once(dir);
+  const std::string path = entry_path(dir, key);
+  const EntryStatus status = read_entry_file(path, key, out);
+  if (status == EntryStatus::kCorrupt) {
+    quarantine_entry(path);
+    g_quarantined.fetch_add(1, std::memory_order_relaxed);
+  }
+  (status == EntryStatus::kOk ? g_hits : g_misses)
+      .fetch_add(1, std::memory_order_relaxed);
+  return status;
 }
 
 bool lookup(const std::string& dir, std::uint64_t key, RunResult& out) {
-  maybe_prune_once(dir);
-  const std::string path = entry_path(dir, key).string();
-  switch (read_entry_file(path, key, out)) {
-    case EntryStatus::kOk:
-      g_hits.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    case EntryStatus::kCorrupt:
-      quarantine_entry(path);
-      g_quarantined.fetch_add(1, std::memory_order_relaxed);
-      [[fallthrough]];
-    case EntryStatus::kMissing:
-      break;
-  }
-  g_misses.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  return find(dir, key, out) == EntryStatus::kOk;
 }
 
 bool store(const std::string& dir, std::uint64_t key,
            const RunResult& result) {
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
   maybe_prune_once(dir);
-  const bool ok = write_entry_file(entry_path(dir, key).string(), key, result);
+  const std::string path = entry_path(dir, key);
+  bool ok = write_entry_file(path, key, result);
+  if (!ok) {
+    // The directory is created the first time a write finds it missing,
+    // not probed before every write.
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    ok = write_entry_file(path, key, result);
+  }
   (ok ? g_stores : g_store_failures).fetch_add(1, std::memory_order_relaxed);
   return ok;
 }

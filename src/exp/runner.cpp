@@ -214,19 +214,21 @@ void finish_capture(obs::SimObs* o, obs::TraceCapture* capture) {
 
 RunResult run_scenario(const ScenarioConfig& scenario,
                        const SchemeConfig& scheme, const RunOptions& options) {
-  // Cross-driver memoization (WLAN_RUN_CACHE): scalar results of the same
-  // fully-bound point are simulated once per cache lifetime. Series
-  // recording and trace captures bypass the cache (neither is serialized).
-  const std::string cache_dir = options.record_series || options.trace != nullptr
-                                    ? std::string()
-                                    : run_cache::directory();
-  std::uint64_t cache_key = 0;
-  if (!cache_dir.empty()) {
-    cache_key = run_cache::key_hash(scenario, scheme, options);
-    RunResult cached;
-    if (run_cache::lookup(cache_dir, cache_key, cached)) return cached;
-  }
+  // Cross-driver memoization: results of the same fully-bound point are
+  // simulated once per store lifetime.
+  const std::string dir = run_cache::directory_for(options);
+  if (dir.empty()) return simulate_scenario(scenario, scheme, options);
+  const std::uint64_t key = run_cache::key_hash(scenario, scheme, options);
+  RunResult result;
+  if (run_cache::lookup(dir, key, result)) return result;
+  result = simulate_scenario(scenario, scheme, options);
+  run_cache::store(dir, key, result);
+  return result;
+}
 
+RunResult simulate_scenario(const ScenarioConfig& scenario,
+                            const SchemeConfig& scheme,
+                            const RunOptions& options) {
   RunResult result;
   result.hidden_pairs = hidden_pairs_of(scenario);
 
@@ -263,7 +265,6 @@ RunResult run_scenario(const ScenarioConfig& scenario,
   collect_measurement(*net, result);
   finish_audit(audit.get(), *net, result);
   finish_capture(capture_obs.get(), options.trace);
-  if (!cache_dir.empty()) run_cache::store(cache_dir, cache_key, result);
   return result;
 }
 

@@ -82,9 +82,9 @@ struct RunResult {
   std::vector<int> success_sources;
 
   /// Unified counter snapshot (sim.*, medium.*, mac.cohort.*, traffic.*,
-  /// cache.*; see obs/collect.hpp) taken when measurement ends. Empty on a
-  /// run-cache hit: the cache stores the science scalars above, not the
-  /// observability registry.
+  /// cache.*; see obs/collect.hpp) taken when measurement ends. A result
+  /// read from the store carries the per-run names only (process-cumulative
+  /// cache.*, exp.fault.*, profile.* are not stored).
   obs::MetricsRegistry metrics;
 
   // Time series over the WHOLE run (including warm-up), when requested.
@@ -97,10 +97,18 @@ struct RunResult {
   stats::TimeSeries drop_series{"drops/s"};   // windowed drop rate
 };
 
-/// Runs one scenario under one scheme.
+/// Runs one scenario under one scheme. With a result store configured
+/// (run_cache::directory()) and no series/trace recording, a stored entry
+/// answers the call, and a fresh result is stored.
 RunResult run_scenario(const ScenarioConfig& scenario,
                        const SchemeConfig& scheme,
                        const RunOptions& options = {});
+
+/// run_scenario without the store: always simulates, reads and writes no
+/// entry. run_sweep runs the jobs its own lookup missed through this.
+RunResult simulate_scenario(const ScenarioConfig& scenario,
+                            const SchemeConfig& scheme,
+                            const RunOptions& options);
 
 /// Averages total_mbps (and idle slots / fairness inputs) over `seeds`
 /// seeds: scenario.seed, scenario.seed+1, ... The seed runs fan out across

@@ -134,8 +134,8 @@ AveragedResult fold_seeds(const std::vector<RunResult>& runs) {
 
 /// With WLAN_PROFILE on, reports each pool lane's aggregate phase profile
 /// (the per-run registries carry profile.* buckets; shard = the contiguous
-/// block of pending jobs one thread-pool lane executed — journal-replayed
-/// jobs carry no profile and never reached a lane). Pure reporting.
+/// block of pending jobs one thread-pool lane executed — replayed jobs
+/// carry no profile and never reached a lane). Pure reporting.
 void report_shard_profiles(const par::ThreadPool& pool,
                            const std::vector<RunResult>& raw,
                            const std::vector<std::size_t>& pending) {
@@ -198,7 +198,7 @@ void run_guarded(const SweepJob& job, std::size_t job_index,
     RunOptions opts = options;
     try {
       fault_injection::apply_before_attempt(job_index, opts);
-      out = run_scenario(job.scenario, job.scheme, opts);
+      out = simulate_scenario(job.scenario, job.scheme, opts);
       return;
     } catch (const sim::WatchdogExpired& e) {
       last.kind = JobError::Kind::kTimeout;
@@ -271,7 +271,7 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
   const std::vector<SweepJob> jobs = expand(spec);
   if (pool == nullptr) pool = &par::ThreadPool::global();
 
-  // Per-job content keys: journal entry keys and JobError fingerprints.
+  // Per-job content keys: store entry keys and JobError fingerprints.
   std::vector<std::uint64_t> job_keys(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i)
     job_keys[i] =
@@ -279,26 +279,18 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
 
   const GuardPolicy policy = resolve_policy(spec);
 
-  // Journal replay (WLAN_SWEEP_JOURNAL): completed jobs from an earlier,
-  // interrupted invocation of this exact sweep fill their slots directly;
-  // only the remainder fans out. Series/trace runs bypass the journal
-  // (neither is serialized — same rule as the run cache).
+  // One store lookup per job: entries from an earlier (interrupted or
+  // overlapping) run fill their slots directly; only the remainder fans
+  // out. Series/trace runs bypass the store.
   std::vector<RunResult> raw(jobs.size());
   std::vector<char> done(jobs.size(), 0);
-  const bool series_or_trace =
-      spec.options.record_series || spec.options.trace != nullptr;
-  const std::string journal_base = series_or_trace
-                                       ? std::string()
-                                       : sweep_journal::directory();
-  std::string journal_dir;
-  if (!journal_base.empty()) {
-    journal_dir = sweep_journal::sweep_directory(
-        journal_base, sweep_journal::sweep_fingerprint(job_keys));
+  const std::string store_dir = run_cache::directory_for(spec.options);
+  if (!store_dir.empty()) {
     const std::size_t replayed =
-        sweep_journal::replay(journal_dir, job_keys, raw, done);
+        sweep_journal::replay(store_dir, job_keys, raw, done);
     if (replayed > 0)
-      std::fprintf(stderr, "[sweep] journal: replayed %zu/%zu jobs from %s\n",
-                   replayed, jobs.size(), journal_dir.c_str());
+      std::fprintf(stderr, "[sweep] store: replayed %zu/%zu jobs from %s\n",
+                   replayed, jobs.size(), store_dir.c_str());
   }
 
   std::vector<std::size_t> pending;
@@ -310,7 +302,8 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
   ProgressTracker progress(jobs.size(), jobs.size() - pending.size());
   std::vector<std::optional<JobError>> job_errors(jobs.size());
 
-  // Guarded fan-out over the pending jobs. Each lane writes only its
+  // Guarded fan-out over the pending jobs; each success writes its entry
+  // once (no second lookup, no second write). Each lane writes only its
   // own jobs' raw/error slots (distinct indices), so no synchronization is
   // needed beyond the pool's fork-join barrier. The progress tracker is
   // the only shared mutable state and is internally locked; it reads
@@ -321,8 +314,8 @@ SweepResult run_sweep(const SweepSpec& spec, par::ThreadPool* pool) {
     const auto t0 = std::chrono::steady_clock::now();
     run_guarded(jobs[i], i, job_keys[i], spec.options, policy, raw[i],
                 job_errors[i]);
-    if (!journal_dir.empty() && !job_errors[i].has_value())
-      sweep_journal::append(journal_dir, i, job_keys[i], raw[i]);
+    if (!store_dir.empty() && !job_errors[i].has_value())
+      sweep_journal::append(store_dir, i, job_keys[i], raw[i]);
     const double wall_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)

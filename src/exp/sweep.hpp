@@ -125,8 +125,8 @@ struct SweepResult {
   /// sweep.jobs_failed and a post-sweep snapshot of the process-cumulative
   /// cache.* / exp.fault.* counters. flight.attempts_per_success is
   /// recomputed here from the folded counts (a ratio cannot be summed).
-  /// Note: jobs satisfied by the run cache or a journal replay carry empty
-  /// registries, so fold totals only cover freshly simulated jobs.
+  /// Jobs replayed from the store carry their stored per-run metrics, so
+  /// the totals equal a fresh run's.
   obs::MetricsRegistry metrics;
 
   bool ok() const { return errors.empty(); }
@@ -143,15 +143,17 @@ struct SweepResult {
 /// global pool) and merges per-point in job-index order. Output is
 /// bit-identical for any thread count, including 1.
 ///
-/// Crash safety: with $WLAN_SWEEP_JOURNAL set (and no series/trace
-/// recording), each completed job is checkpointed to an on-disk journal;
-/// an interrupted sweep replays the completed jobs on restart and runs
-/// only the remainder, with byte-identical final output. Failing jobs are
-/// guarded (retry + backoff, watchdog timeouts converted to errors) and
-/// reported through SweepResult::errors instead of aborting the sweep.
-/// A job that crashes the process or hangs outside the simulator takes
-/// the whole driver down; bench/run_all.sh runs every driver in its own
-/// process and re-runs a failed one, and the journal lets it resume.
+/// Crash safety: with a result store configured (run_cache::directory():
+/// $WLAN_SWEEP_JOURNAL, else $WLAN_RUN_CACHE) and no series/trace
+/// recording, every job is first looked up in the store, and each freshly
+/// simulated job writes exactly one entry; an interrupted sweep replays
+/// the completed jobs on restart and runs only the remainder, with
+/// byte-identical final output. Failing jobs are guarded (retry + backoff,
+/// watchdog timeouts converted to errors) and reported through
+/// SweepResult::errors instead of aborting the sweep. A job that crashes
+/// the process or hangs outside the simulator takes the whole driver down;
+/// bench/run_all.sh runs every driver in its own process and re-runs a
+/// failed one, and the store lets it resume.
 SweepResult run_sweep(const SweepSpec& spec,
                       par::ThreadPool* pool = nullptr);
 

@@ -1,13 +1,9 @@
 #include "exp/sweep_journal.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <system_error>
 
 #include "exp/fault.hpp"
 #include "exp/run_cache.hpp"
-#include "obs/collect.hpp"
 #include "util/fnv.hpp"
 
 namespace wlan::exp::sweep_journal {
@@ -34,11 +30,6 @@ void corrupt_in_place(const std::string& path) {
 
 }  // namespace
 
-std::string directory() {
-  const char* dir = std::getenv("WLAN_SWEEP_JOURNAL");
-  return dir == nullptr ? std::string() : std::string(dir);
-}
-
 std::uint64_t sweep_fingerprint(const std::vector<std::uint64_t>& job_keys) {
   util::Fnv1a h;
   h.mix_u64(run_cache::kFormatVersion);
@@ -47,33 +38,21 @@ std::uint64_t sweep_fingerprint(const std::vector<std::uint64_t>& job_keys) {
   return h.digest();
 }
 
-std::string sweep_directory(const std::string& base,
-                            std::uint64_t fingerprint) {
-  char name[40];
-  std::snprintf(name, sizeof name, "sweep_%016llx",
-                static_cast<unsigned long long>(fingerprint));
-  return (std::filesystem::path(base) / name).string();
+std::string sweep_directory(const std::string& base, std::uint64_t) {
+  return base;
 }
 
-std::string entry_path(const std::string& sweep_dir, std::size_t job_index) {
-  char name[48];
-  std::snprintf(name, sizeof name, "job_%zu.entry", job_index);
-  return (std::filesystem::path(sweep_dir) / name).string();
-}
-
-std::size_t replay(const std::string& sweep_dir,
+std::size_t replay(const std::string& dir,
                    const std::vector<std::uint64_t>& job_keys,
                    std::vector<RunResult>& results, std::vector<char>& done) {
   std::size_t replayed = 0;
   for (std::size_t i = 0; i < job_keys.size(); ++i) {
-    const std::string path = entry_path(sweep_dir, i);
-    switch (run_cache::read_entry_file(path, job_keys[i], results[i])) {
+    switch (run_cache::find(dir, job_keys[i], results[i])) {
       case run_cache::EntryStatus::kOk:
         done[i] = 1;
         ++replayed;
         break;
       case run_cache::EntryStatus::kCorrupt:
-        run_cache::quarantine_entry(path);
         fault_counters::add_journal_corrupt();
         break;
       case run_cache::EntryStatus::kMissing:
@@ -84,24 +63,12 @@ std::size_t replay(const std::string& sweep_dir,
   return replayed;
 }
 
-bool append(const std::string& sweep_dir, std::size_t job_index,
-            std::uint64_t key, const RunResult& result) {
-  std::error_code ec;
-  std::filesystem::create_directories(sweep_dir, ec);
-  const std::string path = entry_path(sweep_dir, job_index);
-  // Persist the run's deterministic metrics, minus the process-cumulative
-  // names (cache.*, exp.fault.*, profile.*): those depend on which process
-  // ran the job, and merge_run_metrics skips them anyway — storing only
-  // the per-run counters keeps a journal-replayed fold byte-identical to
-  // an uninterrupted one.
-  obs::MetricsRegistry filtered;
-  for (const obs::Metric& m : result.metrics.entries())
-    if (!obs::is_process_cumulative_metric(m.name))
-      filtered.set(m.name, m.value);
-  if (!run_cache::write_entry_file(path, key, result, &filtered)) return false;
+bool append(const std::string& dir, std::size_t job_index, std::uint64_t key,
+            const RunResult& result) {
+  if (!run_cache::store(dir, key, result)) return false;
   fault_counters::add_journal_append();
   if (fault_injection::wants_journal_corruption(job_index))
-    corrupt_in_place(path);
+    corrupt_in_place(run_cache::entry_path(dir, key));
   return true;
 }
 

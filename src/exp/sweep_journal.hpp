@@ -1,30 +1,26 @@
-// Crash-safe sweep checkpointing: run_sweep appends each completed
-// (point, seed) job result to an on-disk journal so an interrupted sweep
-// resumes where it stopped instead of recomputing the whole grid.
+// Sweep resume over the result store (exp::run_cache). A sweep's journal
+// is just the set of keys it expects: run_sweep looks each job's key up in
+// the store before fanning out (replay), and writes each freshly simulated
+// job's entry once (append). An interrupted sweep therefore resumes where
+// it stopped instead of recomputing the whole grid.
 //
-// Enabling: set WLAN_SWEEP_JOURNAL to a directory (created on demand).
-// Unset/empty disables journaling — like WLAN_RUN_CACHE it must be opted
-// into, because a journal can serve stale physics across code changes
-// that alter simulation behaviour without touching any config field.
+// Enabling: the store directory (run_cache::directory(): $WLAN_SWEEP_JOURNAL
+// when set, otherwise $WLAN_RUN_CACHE). Like any store it must be opted
+// into, because it can serve stale physics across code changes that alter
+// simulation behaviour without touching any config field.
 //
-// Layout: each sweep gets its own subdirectory named by a fingerprint of
-// the fully expanded job list (format version + job count + every job's
-// run_cache::key_hash), so two different sweeps — or the same sweep after
-// a config change — never alias. Inside, one entry file per job
-// (`job_<index>.entry`), written with run_cache's entry format: whole
-// buffer serialized, FNV-1a checksum footer, unique temp name + atomic
-// rename. A crash therefore leaves either a complete verifiable entry or
-// nothing; there is no "flush" step and nothing to repair on restart.
+// Every entry is the store's: whole buffer serialized, FNV-1a checksum
+// footer, unique temp name + atomic rename. A crash therefore leaves either
+// a complete verifiable entry or nothing; there is no "flush" step and
+// nothing to repair on restart. A corrupt entry is quarantined (renamed
+// aside, exp.fault.journal_corrupt bumped) and its job simply re-runs.
+// Because entries store doubles as raw bit patterns and the per-run
+// metrics, and run_sweep's fold order never changes, a resumed sweep's
+// output — metrics registry included — is byte-identical to an
+// uninterrupted one.
 //
-// Resume: replay() reads every present entry, validates checksum + key,
-// and fills the corresponding result slot; a corrupt entry is quarantined
-// (renamed aside, exp.fault.journal_corrupt bumped) and its job simply
-// re-runs. Because entries store doubles as raw bit patterns and
-// run_sweep's fold order never changes, a resumed sweep's output is
-// byte-identical to an uninterrupted one.
-//
-// Series/trace runs bypass the journal for the same reason they bypass
-// the run cache: series and traces are not serialized.
+// Series/trace runs bypass the store: series and traces are not
+// serialized.
 #pragma once
 
 #include <cstdint>
@@ -35,35 +31,27 @@
 
 namespace wlan::exp::sweep_journal {
 
-/// The journal base directory from $WLAN_SWEEP_JOURNAL; empty = disabled.
-/// Re-read on every call so tests can retarget it.
-std::string directory();
-
 /// Fingerprint of a fully expanded job list: FNV-1a over the entry format
 /// version, the job count, and each job's run_cache key hash in job order.
 std::uint64_t sweep_fingerprint(const std::vector<std::uint64_t>& job_keys);
 
-/// The per-sweep subdirectory under `base` for this fingerprint.
+/// Where a sweep's entries live: the store directory `base` itself, since
+/// every sweep shares the one store. `fingerprint` is unused.
 std::string sweep_directory(const std::string& base, std::uint64_t fingerprint);
 
-/// The entry file for one job inside a sweep directory.
-std::string entry_path(const std::string& sweep_dir, std::size_t job_index);
-
-/// Replays every completed job found under `sweep_dir` into `results`
-/// (indexed like `job_keys`), marking `done[i]` nonzero for each replayed
-/// job. Corrupt entries are quarantined and counted; their jobs stay
-/// pending. Returns the number of jobs replayed.
-std::size_t replay(const std::string& sweep_dir,
+/// Looks every job key up in the store at `dir`, filling `results[i]` and
+/// marking `done[i]` nonzero for each hit. Corrupt entries are quarantined
+/// and counted; their jobs stay pending. Returns the number of jobs
+/// replayed.
+std::size_t replay(const std::string& dir,
                    const std::vector<std::uint64_t>& job_keys,
                    std::vector<RunResult>& results, std::vector<char>& done);
 
-/// Appends job `job_index`'s result atomically (create-dirs on demand),
-/// persisting the result's per-run metrics (process-cumulative names
-/// filtered out) so a replayed fold reproduces the metrics registry too.
-/// Best-effort: a failed append costs re-simulation on resume, nothing
-/// else. Honors the test-only FaultPlan kCorruptJournalEntry action by
-/// flipping a payload byte of the just-written entry in place.
-bool append(const std::string& sweep_dir, std::size_t job_index,
-            std::uint64_t key, const RunResult& result);
+/// One store write of job `job_index`'s result. Best-effort: a failed
+/// append costs re-simulation on resume, nothing else. Honors the
+/// test-only FaultPlan kCorruptJournalEntry action by flipping a payload
+/// byte of the just-written entry in place.
+bool append(const std::string& dir, std::size_t job_index, std::uint64_t key,
+            const RunResult& result);
 
 }  // namespace wlan::exp::sweep_journal

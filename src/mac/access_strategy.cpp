@@ -36,20 +36,25 @@ void PPersistentStrategy::apply_params(const phy::ControlParams& params,
                                        bool /*own_ack*/, util::Rng&) {
   // wTOP-CSMA: every station applies the master p from every ACK it hears
   // (Algorithm 1, node side).
-  if (adaptive_ && params.has_attempt_probability)
-    p_ = weighted_probability(params.attempt_probability, weight_);
+  if (adaptive_ && params.has_attempt_probability &&
+      params.attempt_probability != master_p_) {
+    master_p_ = params.attempt_probability;
+    p_ = weighted_probability(master_p_, weight_);
+  }
 }
 
 void PPersistentStrategy::set_weight(double weight) {
   if (weight <= 0.0)
     throw std::invalid_argument("PPersistentStrategy: weight must be > 0");
   weight_ = weight;
+  master_p_ = std::numeric_limits<double>::quiet_NaN();
 }
 
 void PPersistentStrategy::set_probability(double p) {
   if (p < 0.0 || p > 1.0)
     throw std::invalid_argument("PPersistentStrategy: p outside [0,1]");
   p_ = p;
+  master_p_ = std::numeric_limits<double>::quiet_NaN();
 }
 
 std::string PPersistentStrategy::name() const {

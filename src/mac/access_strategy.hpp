@@ -11,6 +11,7 @@
 // in mac::Station, which makes each strategy unit-testable in isolation.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -100,6 +101,10 @@ class PPersistentStrategy final : public AccessStrategy {
   double p_;
   double weight_;
   bool adaptive_;
+  /// The master p that p_ was last derived from; NaN when p_ or weight_
+  /// changed since, so the next ACK recomputes. Every station hears the
+  /// same ACKs, so an unchanged master p skips the Lemma 1 division.
+  double master_p_ = std::numeric_limits<double>::quiet_NaN();
 };
 
 /// Standard IEEE 802.11 DCF binary exponential backoff: uniform counter in

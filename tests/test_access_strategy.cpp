@@ -66,6 +66,34 @@ TEST(PPersistent, AdaptiveAppliesEveryAck) {
               PPersistentStrategy::weighted_probability(0.2, 2.0), 1e-12);
 }
 
+TEST(PPersistent, RepeatedAckKeepsPAndNewWeightOrPRecomputes) {
+  PPersistentStrategy s(0.1, 2.0, true);
+  util::Rng rng(1);
+  s.apply_params(wtop_params(0.2), false, rng);
+  const double p = s.attempt_probability();
+  s.apply_params(wtop_params(0.2), true, rng);  // same master p again
+  EXPECT_EQ(s.attempt_probability(), p);
+
+  // A new weight takes effect at the next ACK, even with the same master p.
+  s.set_weight(3.0);
+  EXPECT_EQ(s.attempt_probability(), p);
+  s.apply_params(wtop_params(0.2), false, rng);
+  EXPECT_EQ(s.attempt_probability(),
+            PPersistentStrategy::weighted_probability(0.2, 3.0));
+
+  // A direct set_probability is overwritten by the next ACK, not masked by
+  // the cached master p.
+  s.set_probability(0.5);
+  EXPECT_EQ(s.attempt_probability(), 0.5);
+  s.apply_params(wtop_params(0.2), false, rng);
+  EXPECT_EQ(s.attempt_probability(),
+            PPersistentStrategy::weighted_probability(0.2, 3.0));
+
+  s.apply_params(wtop_params(0.3), false, rng);
+  EXPECT_EQ(s.attempt_probability(),
+            PPersistentStrategy::weighted_probability(0.3, 3.0));
+}
+
 TEST(PPersistent, NonAdaptiveIgnoresAcks) {
   PPersistentStrategy s(0.1, 2.0, false);
   util::Rng rng(1);

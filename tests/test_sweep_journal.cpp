@@ -15,6 +15,7 @@
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
 #include "exp/sweep_journal.hpp"
+#include "obs/collect.hpp"
 #include "par/thread_pool.hpp"
 #include "util/fnv.hpp"
 
@@ -88,7 +89,71 @@ std::uint64_t result_hash(const SweepResult& r) {
 
 TEST(SweepJournal, DisabledWithoutEnvironment) {
   ::unsetenv("WLAN_SWEEP_JOURNAL");
-  EXPECT_TRUE(sj::directory().empty());
+  ::unsetenv("WLAN_RUN_CACHE");
+  EXPECT_TRUE(exp::run_cache::directory().empty());
+}
+
+TEST(SweepJournal, JournalDirectoryTakesPrecedenceAsTheStore) {
+  ::setenv("WLAN_RUN_CACHE", "/cache_dir", 1);
+  ::unsetenv("WLAN_SWEEP_JOURNAL");
+  EXPECT_EQ(exp::run_cache::directory(), "/cache_dir");
+  ::setenv("WLAN_SWEEP_JOURNAL", "/journal_dir", 1);
+  EXPECT_EQ(exp::run_cache::directory(), "/journal_dir");
+  // A sweep's journal is the store itself, not a per-sweep subdirectory.
+  EXPECT_EQ(sj::sweep_directory("/journal_dir", 42), "/journal_dir");
+  ::unsetenv("WLAN_SWEEP_JOURNAL");
+  ::unsetenv("WLAN_RUN_CACHE");
+}
+
+/// Regular files under `dir` (entries, temp and quarantined files alike).
+std::size_t count_files(const std::filesystem::path& dir) {
+  std::size_t n = 0;
+  std::error_code ec;
+  for (const auto& e : std::filesystem::directory_iterator(dir, ec))
+    n += e.is_regular_file();
+  return n;
+}
+
+TEST(SweepJournal, FreshJobWritesOneEntryAndAReplayWritesNone) {
+  // Host-free persistence gate: a cold sweep of N jobs makes exactly N
+  // store lookups and leaves exactly N entry files; a rerun creates no
+  // file, writes nothing and replays all N with the fresh run's metrics.
+  JournalDirGuard guard("one_entry");
+  SweepSpec spec = small_grid();
+  const std::size_t n = exp::expand(spec).size();
+  par::ThreadPool pool(2);
+  exp::run_cache::reset_stats();
+  const SweepResult cold = exp::run_sweep(spec, &pool);
+  ASSERT_TRUE(cold.ok());
+  const auto after_cold = exp::run_cache::stats();
+  EXPECT_EQ(after_cold.misses, n);
+  EXPECT_EQ(after_cold.hits, 0u);
+  EXPECT_EQ(after_cold.stores, n);
+  EXPECT_EQ(exp::fault_stats().journal_appends, n);
+  EXPECT_EQ(count_files(guard.dir), n);
+
+  const SweepResult warm = exp::run_sweep(spec, &pool);
+  const auto after_warm = exp::run_cache::stats();
+  EXPECT_EQ(after_warm.hits, n);
+  EXPECT_EQ(after_warm.misses, n);
+  EXPECT_EQ(after_warm.stores, n);
+  EXPECT_EQ(exp::fault_stats().journal_appends, n);
+  EXPECT_EQ(exp::fault_stats().journal_replayed, n);
+  EXPECT_EQ(warm.metrics.get("sweep.jobs_replayed"), static_cast<double>(n));
+  EXPECT_EQ(count_files(guard.dir), n);
+
+  for (std::size_t p = 0; p < cold.points.size(); ++p) {
+    ASSERT_EQ(cold.points[p].runs.size(), warm.points[p].runs.size());
+    for (std::size_t s = 0; s < cold.points[p].runs.size(); ++s) {
+      obs::MetricsRegistry filtered;
+      for (const auto& m : cold.points[p].runs[s].metrics.entries())
+        if (!obs::is_process_cumulative_metric(m.name))
+          filtered.set(m.name, m.value);
+      EXPECT_GT(filtered.entries().size(), 0u);
+      EXPECT_TRUE(warm.points[p].runs[s].metrics == filtered)
+          << "point " << p << " seed " << s;
+    }
+  }
 }
 
 TEST(SweepJournal, FingerprintIsSensitiveToJobListAndOrder) {
